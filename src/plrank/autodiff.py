@@ -5,6 +5,13 @@ records in reverse, which is a valid topological order for a define-by-run
 graph. Elementwise binaries require identical shapes or a scalar operand;
 anything else must go through an explicit broadcast_to/reshape, so shape bugs
 fail loudly at op time instead of silently broadcasting.
+
+Besides the fine-grained primitives there are two fused layer ops, `linear`
+and `causal_attention`, whose plain-numpy forwards the numpy decoder shares.
+
+Backward closures capture arrays, shapes and flags, never a Tensor: a Tensor
+holds its Tape, so capturing one would make every graph a reference cycle
+that only the cyclic garbage collector could free.
 """
 from __future__ import annotations
 
@@ -165,9 +172,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b)
     out = a.data + b.data
     requires = a.requires or b.requires
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward_fn(g: Array):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
 
     return tape._record(out, (a.node_id, b.node_id), backward_fn, requires)
 
@@ -175,13 +183,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     _check_elementwise(a, b)
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
     requires = a.requires or b.requires
 
     def backward_fn(g: Array):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b_data, a_data.shape),
+            _unbroadcast(g * a_data, b_data.shape),
         )
 
     return tape._record(out, (a.node_id, b.node_id), backward_fn, requires)
@@ -203,14 +212,136 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractViolation(
             f"matmul operands must be at least 2-d, got {a.data.shape} @ {b.data.shape}"
         )
-    out = np.matmul(a.data, b.data)
+    a_data, b_data = a.data, b.data
+    out = np.matmul(a_data, b_data)
 
     def backward_fn(g: Array):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+        ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+        gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+        return (_unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape))
 
     return tape._record(out, (a.node_id, b.node_id), backward_fn, a.requires or b.requires)
+
+
+# Fused layer ops. Each pairs a plain-numpy forward, which the numpy decoder in
+# policy.py calls directly, with an analytic backward.
+
+
+def linear_forward(x: Array, w: Array, b: Array) -> Array:
+    """x (..., n) @ w (n, m) + b (m,) as one 2-D GEMM over the leading axes."""
+    y = x.reshape(-1, x.shape[-1]) @ w
+    y += b
+    return y.reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of the last axis: x (..., n), w (n, m), b (m,) -> (..., m)."""
+    tape = _same_tape(x, w, b)
+    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1] or b.data.shape != w.data.shape[1:]:
+        raise ContractViolation(
+            f"linear needs x (..., n), w (n, m), b (m,), got {x.data.shape}, {w.data.shape}, {b.data.shape}"
+        )
+    x_shape, w_data = x.data.shape, w.data
+    x2 = x.data.reshape(-1, x_shape[-1])
+    out = linear_forward(x.data, w_data, b.data)
+    x_req, w_req, b_req = x.requires, w.requires, b.requires
+
+    def backward_fn(g: Array):
+        g2 = g.reshape(-1, w_data.shape[1])
+        return (
+            (g2 @ w_data.T).reshape(x_shape) if x_req else None,
+            x2.T @ g2 if w_req else None,
+            g2.sum(axis=0) if b_req else None,
+        )
+
+    return tape._record(out, (x.node_id, w.node_id, b.node_id), backward_fn, x_req or w_req or b_req)
+
+
+def split_heads(x: Array, n_heads: int) -> Array:
+    """(B, T, d) -> (B, H, T, d / H), as a view."""
+    b, t, d = x.shape
+    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x: Array) -> Array:
+    """(B, H, T, e) -> (B, T, H * e)."""
+    b, h, t, e = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * e)
+
+
+def attention_forward(q: Array, k: Array, v: Array) -> tuple[Array, Array]:
+    """Causal scaled dot-product attention on heads-first arrays.
+
+    q is (B, H, Tq, e); k and v are (B, H, Tk, e) with Tk >= Tq. Query i sits
+    at position Tk - Tq + i and sees keys 0..Tk - Tq + i, so a single query
+    sees every key. Returns (probs (B, H, Tq, Tk), out (B, H, Tq, e)).
+    """
+    tq, tk = q.shape[-2], k.shape[-2]
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= q.shape[-1] ** -0.5
+    if tq > 1:
+        scores += np.triu(np.full((tq, tk), NEG_MASK), k=tk - tq + 1)
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs, probs @ v
+
+
+# The tape op splits the queries into blocks of about this many. A block only
+# scores the keys its last query can see, which skips most of the causal
+# mask's upper triangle; each block costs a dozen numpy calls, so blocks stay
+# this large. The numpy decoder's prefill, over short prefixes, measured
+# faster as one block.
+ATTENTION_BLOCK = 32
+
+
+def _query_blocks(t: int) -> list[slice]:
+    """Equal blocks of about ATTENTION_BLOCK query rows covering 0..t-1."""
+    n = max(1, round(t / ATTENTION_BLOCK))
+    bounds = [i * t // n for i in range(n + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal self-attention of (B, T, d) projections -> (B, T, d)."""
+    tape = _same_tape(q, k, v)
+    shape = q.data.shape
+    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape or shape[-1] % n_heads:
+        raise ContractViolation(
+            f"causal_attention needs equal (B, T, d) q/k/v with d divisible by {n_heads} heads, "
+            f"got {q.data.shape}, {k.data.shape}, {v.data.shape}"
+        )
+    qh, kh, vh = (split_heads(z.data, n_heads) for z in (q, k, v))
+    blocks = _query_blocks(shape[1])
+    out = np.empty(qh.shape)
+    probs = []  # per block, (B, H, rows, rows.stop): rows see keys 0..rows.stop-1
+    for rows in blocks:
+        keys = rows.stop
+        p, out[..., rows, :] = attention_forward(qh[..., rows, :], kh[..., :keys, :], vh[..., :keys, :])
+        probs.append(p)
+    scale = qh.shape[-1] ** -0.5
+
+    def backward_fn(g: Array):
+        gh = split_heads(g, n_heads)
+        gq, gk, gv = np.empty(qh.shape), np.zeros(kh.shape), np.zeros(vh.shape)
+        # The softmax backward subtracts rowsum(gp * p) from gp, the gradient
+        # of p; that row sum equals rowsum(gh * out), a (T, e) product.
+        inner = (gh * out).sum(axis=-1, keepdims=True)
+        for rows, p in zip(blocks, probs):
+            keys = rows.stop
+            g_rows = gh[..., rows, :]
+            gs = g_rows @ np.swapaxes(vh[..., :keys, :], -1, -2)
+            gs -= inner[..., rows, :]
+            gs *= p
+            gq[..., rows, :] = gs @ kh[..., :keys, :]
+            gk[..., :keys, :] += np.swapaxes(gs, -1, -2) @ qh[..., rows, :]
+            gv[..., :keys, :] += np.swapaxes(p, -1, -2) @ g_rows
+        gq *= scale
+        gk *= scale
+        return merge_heads(gq), merge_heads(gk), merge_heads(gv)
+
+    requires = q.requires or k.requires or v.requires
+    return tape._record(merge_heads(out), (q.node_id, k.node_id, v.node_id), backward_fn, requires)
 
 
 def _axis_tuple(axis, ndim):
@@ -258,10 +389,11 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    out = np.log(x.data)
+    x_data = x.data
+    out = np.log(x_data)
 
     def backward_fn(g: Array):
-        return (g / x.data,)
+        return (g / x_data,)
 
     return x.tape._record(out, (x.node_id,), backward_fn, x.requires)
 
@@ -286,21 +418,23 @@ def tanh(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
+    positive = x.data > 0.0
 
     def backward_fn(g: Array):
-        return (g * (x.data > 0.0),)
+        return (g * positive,)
 
     return x.tape._record(out, (x.node_id,), backward_fn, x.requires)
 
 
 def asum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = x.data.sum(axis=axis, keepdims=keepdims)
+    shape = x.data.shape
 
     def backward_fn(g: Array):
         gg = g
         if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis=_axis_tuple(axis, x.data.ndim))
-        return (np.broadcast_to(gg, x.data.shape).copy() if np.ndim(gg) else np.full_like(x.data, gg),)
+            gg = np.expand_dims(g, axis=_axis_tuple(axis, len(shape)))
+        return (np.broadcast_to(gg, shape).copy() if np.ndim(gg) else np.full(shape, gg, dtype=np.float64),)
 
     return x.tape._record(np.asarray(out), (x.node_id,), backward_fn, x.requires)
 
@@ -324,11 +458,12 @@ def index_select(table: Tensor, indices) -> Tensor:
     if table.data.ndim < 1:
         raise ContractViolation("index_select table must have at least one axis")
     out = table.data[idx]
+    shape = table.data.shape
 
     def backward_fn(g: Array):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape)
         flat_idx = idx.reshape(-1)
-        np.add.at(gt, flat_idx, g.reshape(flat_idx.shape[0], *table.data.shape[1:]))
+        np.add.at(gt, flat_idx, g.reshape(flat_idx.shape[0], *shape[1:]))
         return (gt,)
 
     return table.tape._record(out, (table.node_id,), backward_fn, table.requires)
@@ -355,9 +490,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
+    in_shape = x.data.shape
 
     def backward_fn(g: Array):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(in_shape),)
 
     return x.tape._record(out, (x.node_id,), backward_fn, x.requires)
 
@@ -373,9 +509,10 @@ def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
 
 def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = np.broadcast_to(x.data, shape)
+    in_shape = x.data.shape
 
     def backward_fn(g: Array):
-        return (_unbroadcast(g, x.data.shape),)
+        return (_unbroadcast(g, in_shape),)
 
     return x.tape._record(out, (x.node_id,), backward_fn, x.requires)
 
@@ -385,11 +522,12 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b)
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward_fn(g: Array):
         return (
-            _unbroadcast(g * take_a, a.data.shape),
-            _unbroadcast(g * ~take_a, b.data.shape),
+            _unbroadcast(g * take_a, a_shape),
+            _unbroadcast(g * ~take_a, b_shape),
         )
 
     return tape._record(out, (a.node_id, b.node_id), backward_fn, a.requires or b.requires)

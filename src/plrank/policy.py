@@ -3,9 +3,11 @@
 The decoder vocabulary is purely structural (section markers, decision tokens,
 attribute tokens), contexts are serialized as attribute token runs, and the
 scoring head maps the final generated token's last-layer hidden state to a raw
-ranking score. Forward passes exist twice: once on the autodiff tape for
-training, and once in plain numpy with incremental attention state for
-sampling. A teacher-forced re-evaluation test pins the two together.
+ranking score. Each layer's math is written once, in the fused autodiff ops
+`linear` and `causal_attention`. Training runs them on the tape; sampling
+calls their plain-numpy forwards, either over a whole prefix or one token at
+a time against cached keys and values. A teacher-forced re-evaluation test
+pins the two paths together.
 """
 from __future__ import annotations
 
@@ -15,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 import plrank.autodiff as ad
-from .autodiff import NEG_MASK, Tape, Tensor
+from .autodiff import (
+    NEG_MASK,
+    Tape,
+    Tensor,
+    attention_forward,
+    linear_forward,
+    merge_heads,
+    split_heads,
+)
 from .errors import ConfigError, ContractViolation, DataFormatError
 from .world import CandidateItem, UserContext
 
@@ -177,12 +187,6 @@ def lift_params(
     return lifted
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    y = ad.matmul(x, w)
-    bias = ad.broadcast_to(ad.reshape(b, (1,) * (len(y.shape) - 1) + b.shape), y.shape)
-    return ad.add(y, bias)
-
-
 def forward_hidden_tape(pt: dict[str, Tensor], ids: np.ndarray, cfg: PolicyConfig) -> Tensor:
     """Last-layer hidden states (B, T, d) for token ids (B, T)."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -191,28 +195,17 @@ def forward_hidden_tape(pt: dict[str, Tensor], ids: np.ndarray, cfg: PolicyConfi
     b, t = ids.shape
     if t > cfg.max_len:
         raise ContractViolation(f"sequence length {t} exceeds max_len {cfg.max_len}")
-    tape = pt["emb"].tape
-    d, h, e = cfg.d_model, cfg.n_heads, cfg.head_dim
+    d = cfg.d_model
     tok = ad.index_select(pt["emb"], ids)
     pos = ad.index_select(pt["pos"], np.arange(t))
     x = ad.add(tok, ad.broadcast_to(ad.reshape(pos, (1, t, d)), (b, t, d)))
-    causal = tape.constant(np.triu(np.full((t, t), NEG_MASK), k=1).reshape(1, 1, t, t))
-
-    def heads(z: Tensor) -> Tensor:
-        return ad.swapaxes(ad.reshape(z, (b, t, h, e)), 1, 2)
-
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        q = heads(_linear(x, pt[p + "wq"], pt[p + "bq"]))
-        k = heads(_linear(x, pt[p + "wk"], pt[p + "bk"]))
-        v = heads(_linear(x, pt[p + "wv"], pt[p + "bv"]))
-        scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), e ** -0.5)
-        scores = ad.add(scores, ad.broadcast_to(causal, (b, h, t, t)))
-        ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
-        merged = ad.reshape(ad.swapaxes(ctx, 1, 2), (b, t, d))
-        x = ad.add(x, _linear(merged, pt[p + "wo"], pt[p + "bo"]))
-        inner = ad.relu(_linear(x, pt[p + "w1"], pt[p + "b1"]))
-        x = ad.add(x, _linear(inner, pt[p + "w2"], pt[p + "b2"]))
+        q, k, v = (ad.linear(x, pt[p + "w" + n], pt[p + "b" + n]) for n in "qkv")
+        merged = ad.causal_attention(q, k, v, cfg.n_heads)
+        x = ad.add(x, ad.linear(merged, pt[p + "wo"], pt[p + "bo"]))
+        inner = ad.relu(ad.linear(x, pt[p + "w1"], pt[p + "b1"]))
+        x = ad.add(x, ad.linear(inner, pt[p + "w2"], pt[p + "b2"]))
     return x
 
 
@@ -243,7 +236,7 @@ def sequence_log_probs_tape(
     rows = np.repeat(np.arange(b), gen_len)
     pred_pos = np.tile(np.arange(prefix_len - 1, prefix_len - 1 + gen_len), b)
     picked = gather_positions_tape(hidden, rows, pred_pos)  # (B*gen_len, d)
-    logits = _linear(picked, pt["out.w"], pt["out.b"])
+    logits = ad.linear(picked, pt["out.w"], pt["out.b"])
     log_probs = ad.log_softmax(logits, axis=-1)
     targets = ids[rows, pred_pos + 1]
     onehot = np.zeros((b * gen_len, v))
@@ -254,17 +247,13 @@ def sequence_log_probs_tape(
 
 def head_score_tape(pt: dict[str, Tensor], hidden_vecs: Tensor) -> Tensor:
     """Scoring head on (N, d) hidden vectors -> (N,) raw scores."""
-    inner = ad.tanh(_linear(hidden_vecs, pt["head.w1"], pt["head.b1"]))
-    return ad.reshape(_linear(inner, pt["head.w2"], pt["head.b2"]), (hidden_vecs.shape[0],))
+    inner = ad.tanh(ad.linear(hidden_vecs, pt["head.w1"], pt["head.b1"]))
+    return ad.reshape(ad.linear(inner, pt["head.w2"], pt["head.b2"]), (hidden_vecs.shape[0],))
 
 
 # ---------------------------------------------------------------------------
 # Numpy forward (sampling path)
 # ---------------------------------------------------------------------------
-
-
-def _np_linear(x, w, b):
-    return x @ w + b
 
 
 def _np_log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -285,37 +274,41 @@ class DecodeState:
         ]
 
 
+def _np_layers(params, x: np.ndarray, cfg: PolicyConfig, state: DecodeState | None, start: int):
+    """Every decoder layer over x (B, T, d) holding positions start..start+T-1.
+
+    With a state, each layer writes its keys and values there and the queries
+    attend to every cached position; without one, start must be 0.
+    """
+    t = x.shape[1]
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}."
+        q, k, v = (
+            split_heads(linear_forward(x, params[p + "w" + n], params[p + "b" + n]), cfg.n_heads)
+            for n in "qkv"
+        )
+        if state is not None:
+            state.keys[i][:, :, start : start + t] = k
+            state.values[i][:, :, start : start + t] = v
+            k = state.keys[i][:, :, : start + t]
+            v = state.values[i][:, :, : start + t]
+        _, ctx = attention_forward(q, k, v)
+        x = x + linear_forward(merge_heads(ctx), params[p + "wo"], params[p + "bo"])
+        inner = np.maximum(linear_forward(x, params[p + "w1"], params[p + "b1"]), 0.0)
+        x = x + linear_forward(inner, params[p + "w2"], params[p + "b2"])
+    return x
+
+
 def _np_forward(params, ids: np.ndarray, cfg: PolicyConfig, state: DecodeState | None = None):
-    """Full-sequence numpy forward; optionally records attention state.
+    """Full-sequence numpy forward (prefill); optionally records attention state.
 
     Returns last-layer hidden states (B, T, d).
     """
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
-    b, t = ids.shape
+    t = ids.shape[1]
     if t > cfg.max_len:
         raise ContractViolation(f"sequence length {t} exceeds max_len {cfg.max_len}")
-    d, h, e = cfg.d_model, cfg.n_heads, cfg.head_dim
-    x = params["emb"][ids] + params["pos"][:t]
-    causal = np.triu(np.full((t, t), NEG_MASK), k=1)
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}."
-        q = _np_linear(x, params[p + "wq"], params[p + "bq"]).reshape(b, t, h, e).transpose(0, 2, 1, 3)
-        k = _np_linear(x, params[p + "wk"], params[p + "bk"]).reshape(b, t, h, e).transpose(0, 2, 1, 3)
-        v = _np_linear(x, params[p + "wv"], params[p + "bv"]).reshape(b, t, h, e).transpose(0, 2, 1, 3)
-        if state is not None:
-            state.keys[i][:, :, :t] = k
-            state.values[i][:, :, :t] = v
-        scores = q @ k.transpose(0, 1, 3, 2) * (e ** -0.5) + causal
-        scores -= scores.max(axis=-1, keepdims=True)
-        attn = np.exp(scores)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        merged = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-        x = x + _np_linear(merged, params[p + "wo"], params[p + "bo"])
-        x = x + _np_linear(
-            np.maximum(_np_linear(x, params[p + "w1"], params[p + "b1"]), 0.0),
-            params[p + "w2"],
-            params[p + "b2"],
-        )
+    x = _np_layers(params, params["emb"][ids] + params["pos"][:t], cfg, state, 0)
     if state is not None:
         state.length = t
     return x
@@ -323,34 +316,13 @@ def _np_forward(params, ids: np.ndarray, cfg: PolicyConfig, state: DecodeState |
 
 def _np_decode_step(params, state: DecodeState, tokens: np.ndarray, cfg: PolicyConfig):
     """Process one new token per row; returns hidden (B, d) at the new position."""
-    b = tokens.shape[0]
-    d, h, e = cfg.d_model, cfg.n_heads, cfg.head_dim
     t = state.length
     if t + 1 > cfg.max_len:
         raise ContractViolation(f"decode past max_len {cfg.max_len}")
-    x = params["emb"][tokens] + params["pos"][t]
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}."
-        q = _np_linear(x, params[p + "wq"], params[p + "bq"]).reshape(b, h, e)
-        k = _np_linear(x, params[p + "wk"], params[p + "bk"]).reshape(b, h, e)
-        v = _np_linear(x, params[p + "wv"], params[p + "bv"]).reshape(b, h, e)
-        state.keys[i][:, :, t] = k
-        state.values[i][:, :, t] = v
-        keys = state.keys[i][:, :, : t + 1]
-        values = state.values[i][:, :, : t + 1]
-        scores = np.einsum("bhe,bhte->bht", q, keys) * (e ** -0.5)
-        scores -= scores.max(axis=-1, keepdims=True)
-        attn = np.exp(scores)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        merged = np.einsum("bht,bhte->bhe", attn, values).reshape(b, d)
-        x = x + _np_linear(merged, params[p + "wo"], params[p + "bo"])
-        x = x + _np_linear(
-            np.maximum(_np_linear(x, params[p + "w1"], params[p + "b1"]), 0.0),
-            params[p + "w2"],
-            params[p + "b2"],
-        )
+    x = params["emb"][tokens][:, None, :] + params["pos"][t]
+    x = _np_layers(params, x, cfg, state, t)
     state.length = t + 1
-    return x
+    return x[:, 0]
 
 
 @dataclass
@@ -410,7 +382,7 @@ def generate(
     decided = np.zeros(b, dtype=bool)
     decision_ids = (vocab.RECOMMEND, vocab.NOT_RECOMMEND)
     for step in range(g_max):
-        logits = _np_linear(hidden, params["out.w"], params["out.b"])
+        logits = linear_forward(hidden, params["out.w"], params["out.b"])
         lp1 = _np_log_softmax(logits)
         masked = logits.copy()
         if mode == "decision_only":
@@ -473,7 +445,7 @@ def token_log_probs(
     ids = np.concatenate([prefix, tokens])[None, :]
     hidden = _np_forward(params, ids, cfg)
     positions = np.arange(prefix.size - 1, prefix.size - 1 + tokens.size)
-    logits = _np_linear(hidden[0, positions], params["out.w"], params["out.b"])
+    logits = linear_forward(hidden[0, positions], params["out.w"], params["out.b"])
     return _np_log_softmax(logits)[np.arange(tokens.size), tokens]
 
 
@@ -483,8 +455,8 @@ def score(params: dict[str, np.ndarray], rationale: Rationale) -> float:
 
 
 def score_hidden(params: dict[str, np.ndarray], hidden: np.ndarray) -> np.ndarray:
-    inner = np.tanh(_np_linear(hidden, params["head.w1"], params["head.b1"]))
-    return _np_linear(inner, params["head.w2"], params["head.b2"])[:, 0]
+    inner = np.tanh(linear_forward(hidden, params["head.w1"], params["head.b1"]))
+    return linear_forward(inner, params["head.w2"], params["head.b2"])[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,7 @@ def sft_batch_loss(
     pt = lift_params(tape, params, train_policy=train, train_head=False)
     hidden = forward_hidden_tape(pt, ids, pcfg)
     picked = gather_positions_tape(hidden, rows, positions)
-    logits = ad.add(
-        ad.matmul(picked, pt["out.w"]),
-        ad.broadcast_to(ad.reshape(pt["out.b"], (1, vocab.size)), (targets.size, vocab.size)),
-    )
-    lp = ad.log_softmax(logits, axis=-1)
+    lp = ad.log_softmax(ad.linear(picked, pt["out.w"], pt["out.b"]), axis=-1)
     onehot = np.zeros((targets.size, vocab.size))
     onehot[np.arange(targets.size), targets] = 1.0
     picked_lp = ad.asum(ad.mul(lp, tape.constant(onehot)))

@@ -190,6 +190,24 @@ def _fd_battery_cases():
         return ad.scale(logp, 0.73)
 
     cases.append((f5, [h1, h2]))
+
+    # fused linear on a 3-d input with a bias
+    x6, w6, b6 = n(2, 3, 5), n(5, 4), n(4)
+
+    def f6(xl, wl, bl):
+        return ad.asum(ad.tanh(ad.linear(xl, wl, bl)))
+
+    cases.append((f6, [x6, w6, b6]))
+
+    # fused two-head causal attention, B=2, T=5
+    q7, k7, v7 = n(2, 5, 4), n(2, 5, 4), n(2, 5, 4)
+    read7 = n(2, 5, 4)
+
+    def f7(ql, kl, vl):
+        out = ad.causal_attention(ql, kl, vl, 2)
+        return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read7)))
+
+    cases.append((f7, [q7, k7, v7]))
     return cases
 
 

@@ -1,4 +1,7 @@
 """Tape engine versus finite differences and hand-worked gradients."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -121,7 +124,7 @@ def test_quadratic_fd_error_tiny():
 
 
 def _battery():
-    """Eight computation shapes covering every op the training stack uses."""
+    """Ten computation shapes covering every op the training stack uses."""
     rng = np.random.default_rng(7)
     n = lambda *s: rng.normal(size=s) * 0.1  # noqa: E731
     cases = []
@@ -227,6 +230,24 @@ def _battery():
         return ad.scale(logp, 0.73)  # fixed reward weight
 
     cases.append((f8, [h1, h2]))
+
+    # 9. fused linear on a 3-d input with a bias
+    x9, w9, b9 = rng.normal(size=(2, 3, 5)), n(5, 4), n(4)
+
+    def f9(xl, wl, bl):
+        return ad.asum(ad.tanh(ad.linear(xl, wl, bl)))
+
+    cases.append((f9, [x9, w9, b9]))
+
+    # 10. fused two-head causal attention, B=2, T=5
+    q10, k10, v10 = rng.normal(size=(3, 2, 5, 4))
+    read10 = rng.normal(size=(2, 5, 4))
+
+    def f10(ql, kl, vl):
+        out = ad.causal_attention(ql, kl, vl, 2)
+        return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read10)))
+
+    cases.append((f10, [q10, k10, v10]))
     return cases
 
 
@@ -267,3 +288,98 @@ def test_mean_and_sum_axis_variants():
     tape = Tape()
     xt = tape.leaf(x)
     assert ad.sum(xt, axis=2).data == pytest.approx(x.sum(axis=2))
+
+
+def _reference_attention_block(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """The fine-grained tape block the fused ops replace: matmul plus
+    broadcast bias, swapaxes heads, scale, masked softmax, merge."""
+    b, t, d = x.shape
+    e = d // n_heads
+
+    def lin(z, w, bias):
+        y = ad.matmul(z, w)
+        return ad.add(y, ad.broadcast_to(ad.reshape(bias, (1,) * (len(y.shape) - 1) + bias.shape), y.shape))
+
+    def heads(z):
+        return ad.swapaxes(ad.reshape(z, (b, t, n_heads, e)), 1, 2)
+
+    causal = x.tape.constant(np.triu(np.full((t, t), NEG_MASK), k=1).reshape(1, 1, t, t))
+    q, k, v = heads(lin(x, wq, bq)), heads(lin(x, wk, bk)), heads(lin(x, wv, bv))
+    scores = ad.scale(ad.matmul(q, ad.swapaxes(k, -1, -2)), e ** -0.5)
+    scores = ad.add(scores, ad.broadcast_to(causal, (b, n_heads, t, t)))
+    ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
+    return lin(ad.reshape(ad.swapaxes(ctx, 1, 2), (b, t, d)), wo, bo)
+
+
+def _fused_attention_block(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    q, k, v = ad.linear(x, wq, bq), ad.linear(x, wk, bk), ad.linear(x, wv, bv)
+    return ad.linear(ad.causal_attention(q, k, v, n_heads), wo, bo)
+
+
+def test_fused_ops_match_fine_grained_reference():
+    rng = np.random.default_rng(11)
+    # three query blocks of unequal sizes
+    b, t, d, n_heads = 3, 3 * ad.ATTENTION_BLOCK + 5, 6, 2
+    arrays = [rng.normal(size=(b, t, d))]
+    for _ in range(4):
+        arrays += [rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d,)) * 0.1]
+    readout = rng.normal(size=(b, t, d))
+
+    def run(block):
+        tape = Tape()
+        leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+        out = block(*leaves, n_heads)
+        loss = ad.asum(ad.mul(ad.tanh(out), tape.constant(readout)))
+        grads = tape.backward(loss)
+        return out.data, [grads[leaf.node_id] for leaf in leaves]
+
+    ref_out, ref_grads = run(_reference_attention_block)
+    out, grads = run(_fused_attention_block)
+    names = ["out", "x", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
+    wanted = dict(zip(names, [ref_out] + ref_grads))
+    # float64 arithmetic in a different order: fixed at 1e-12 relative
+    for name, got in zip(names, [out] + grads):
+        want = wanted[name]
+        assert got.shape == want.shape, name
+        # The key bias adds one constant to each query's scores, which the
+        # softmax ignores: its exact gradient is 0, so both sides hold rounding
+        # noise, measured against the key weights' gradient.
+        scale = np.max(np.abs(wanted["wk" if name == "bk" else name]))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+
+
+def test_fused_ops_reject_bad_shapes():
+    tape = Tape()
+    with pytest.raises(ContractViolation):
+        ad.linear(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((4, 2))), tape.leaf(np.ones(2)))
+    with pytest.raises(ContractViolation):
+        ad.linear(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 2))), tape.leaf(np.ones(3)))
+    q = tape.leaf(np.ones((1, 4, 6)))
+    with pytest.raises(ContractViolation):
+        ad.causal_attention(q, q, tape.leaf(np.ones((1, 3, 6))), 2)
+    with pytest.raises(ContractViolation):
+        ad.causal_attention(q, q, q, 4)
+
+
+def test_finished_tape_is_freed_by_reference_counting():
+    """No backward closure holds a Tensor, so no graph is a reference cycle."""
+    cases = _battery()
+    ratio = np.array([0.7, 1.1, 1.4])
+
+    def ppo_shaped(rl):
+        clipped = ad.clip(rl, 0.8, 1.2)
+        return ad.asum(ad.minimum(ad.scale(rl, 0.5), ad.scale(clipped, 0.5)))
+
+    cases.append((ppo_shaped, [ratio]))
+    gc.disable()
+    try:
+        for f, arrays in cases:
+            tape = Tape()
+            leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+            loss = f(*leaves)
+            tape.backward(loss)
+            alive = weakref.ref(tape)
+            del tape, leaves, loss
+            assert alive() is None, f.__name__
+    finally:
+        gc.enable()

@@ -136,6 +136,24 @@ def test_incremental_decode_matches_full_forward():
         assert np.max(np.abs(h - full[:, t])) < 1e-10
 
 
+def test_long_sequences_agree_across_attention_blocks():
+    cfg = PolicyConfig(
+        m=2, buckets=3, d_model=4, n_layers=2, n_heads=2, d_ff=4,
+        max_len=3 * ad.ATTENTION_BLOCK, max_gen=6, head_hidden=4, init_std=0.4,
+    )
+    params = init_params(cfg, substream(4, "init", "policy"))
+    t = 2 * ad.ATTENTION_BLOCK + 5
+    ids = substream(6, "ids").integers(0, cfg.vocab().size, size=(2, t))
+    full = _np_forward(params, ids, cfg)
+    tape = Tape()
+    assert np.max(np.abs(forward_hidden_tape(lift_params(tape, params), ids, cfg).data - full)) < 1e-10
+    state = DecodeState(cfg, 2)
+    _np_forward(params, ids[:, : ad.ATTENTION_BLOCK + 3], cfg, state=state)
+    for pos in range(ad.ATTENTION_BLOCK + 3, t):
+        h = _np_decode_step(params, state, ids[:, pos], cfg)
+        assert np.max(np.abs(h - full[:, pos])) < 1e-10
+
+
 def test_causal_masking_is_bit_exact():
     params = tiny_params(5)
     rng = substream(3, "ids")
