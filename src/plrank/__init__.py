@@ -6,6 +6,7 @@ score, and the induced Plackett-Luce ranking is trained against truncated NDCG
 with REINFORCE (head) and token-level clipped PPO (policy). Every stochastic
 estimator is held to an exact enumeration oracle on a synthetic world.
 """
+from . import allocator  # noqa: F401  (fixes glibc's malloc thresholds on import)
 from .config import RunConfig, config_hash, load_run_config, policy_config, stage_config
 from .evaluation import evaluate, probe_history_shuffle, probe_position
 from .policy import PolicyConfig, Vocab, generate, init_params, serialize_context
