@@ -433,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the world and ranking instances")
     common(p)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="reserved for parallel generation; output is identical for any value",
-    )
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("build-sft", help="build the filtered teacher corpus")
@@ -476,8 +470,6 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
-        if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-            raise ConfigError("--workers must be >= 1")
         return args.fn(args)
     except (ConfigError, DataFormatError, FileNotFoundError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,8 +12,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from .atomic import atomic_write
 from .errors import ConfigError, DataFormatError
-from .policy import PolicyConfig
+from .policy import ModelConfig, PolicyConfig
 from .training import TrainConfig
 from .world import SPLITS, WorldConfig
 
@@ -36,20 +37,6 @@ class DataConfig:
             raise ConfigError(f"data.noise_rate must be in [0, 1), got {self.noise_rate}")
         if self.selfcheck_k < 0:
             raise ConfigError(f"data.selfcheck_k must be >= 0, got {self.selfcheck_k}")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Decoder and head sizes; attribute vocabulary comes from the world."""
-
-    d_model: int = 32
-    n_layers: int = 2
-    n_heads: int = 2
-    d_ff: int = 64
-    max_len: int = 256
-    max_gen: int = 24
-    head_hidden: int = 32
-    init_std: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -103,7 +90,7 @@ class RunConfig:
         self.eval.validate()
         self.sft.validate()
         self.rl.validate()
-        policy_config(self).validate()
+        self.model.validate()
         prefix = self.world.m * (self.data.L + 2) + self.data.L + 1
         if prefix + self.model.max_gen > self.model.max_len:
             raise ConfigError(
@@ -189,33 +176,19 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def dump_effective(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(effective_dict(cfg), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def policy_config(cfg: RunConfig) -> PolicyConfig:
-    m = cfg.model
-    return PolicyConfig(
-        m=cfg.world.m,
-        buckets=cfg.world.buckets,
-        d_model=m.d_model,
-        n_layers=m.n_layers,
-        n_heads=m.n_heads,
-        d_ff=m.d_ff,
-        max_len=m.max_len,
-        max_gen=m.max_gen,
-        head_hidden=m.head_hidden,
-        init_std=m.init_std,
-    )
+    return PolicyConfig(m=cfg.world.m, buckets=cfg.world.buckets, **dataclasses.asdict(cfg.model))
 
 
 def stage_config(cfg: RunConfig, stage: str) -> TrainConfig:
-    """Stage TrainConfig with the data-section K and L stamped in."""
+    """The training config of one stage, "sft" or "rl"."""
     if stage == "sft":
-        base = cfg.sft
-    elif stage == "rl":
-        base = cfg.rl
-    else:
-        raise ConfigError(f"unknown stage {stage!r}")
-    return dataclasses.replace(base, K=cfg.data.K, L=cfg.data.L)
+        return cfg.sft
+    if stage == "rl":
+        return cfg.rl
+    raise ConfigError(f"unknown stage {stage!r}")

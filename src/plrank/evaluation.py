@@ -261,21 +261,13 @@ def probe_history_shuffle(
     """Measure sensitivity of test quality to history event order.
 
     Each pass reshuffles every instance's history (keyed per shuffle and
-    instance, never by position) and re-evaluates the whole set.
+    instance, never by position) and re-evaluates the whole set with
+    `evaluate`, so the unshuffled mean is exactly the evaluated mean.
     """
     if not instances:
         raise ContractViolation("nothing to probe")
-    vocab = pcfg.vocab()
     streams = KeyedStreams(seed)
-
-    def mean_quality(insts) -> float:
-        vals = []
-        for inst in insts:
-            scores, _ = score_instance(params, inst, pcfg, vocab, cot=cot)
-            vals.append(ndcg(rank_by_scores(scores), inst.relevance, cutoff))
-        return float(np.mean(vals))
-
-    original = mean_quality(instances)
+    original = evaluate(params, instances, pcfg, cutoffs=(cutoff,), cot=cot).mean[cutoff]
     means = []
     for shuffle_idx in range(n_shuffles):
         shuffled = []
@@ -296,7 +288,7 @@ def probe_history_shuffle(
                     relevance=inst.relevance,
                 )
             )
-        means.append(mean_quality(shuffled))
+        means.append(evaluate(params, shuffled, pcfg, cutoffs=(cutoff,), cot=cot).mean[cutoff])
     means = np.asarray(means)
     return HistoryShuffleResult(
         original_mean=original,

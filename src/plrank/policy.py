@@ -12,11 +12,12 @@ pins the two paths together.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 import plrank.autodiff as ad
+from .atomic import atomic_write
 from .autodiff import (
     NEG_MASK,
     Tape,
@@ -81,9 +82,9 @@ class Vocab:
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
-    m: int
-    buckets: int
+class ModelConfig:
+    """Decoder and head sizes; attribute vocabulary comes from the world."""
+
     d_model: int = 32
     n_layers: int = 2
     n_heads: int = 2
@@ -104,6 +105,14 @@ class PolicyConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
+
+
+@dataclass(frozen=True)
+class PolicyConfig(ModelConfig):
+    """Model sizes plus the world's attribute vocabulary shape."""
+
+    m: int = field(kw_only=True)
+    buckets: int = field(kw_only=True)
 
     def vocab(self) -> Vocab:
         return Vocab(self.m, self.buckets)
@@ -467,7 +476,7 @@ def score_hidden(params: dict[str, np.ndarray], hidden: np.ndarray) -> np.ndarra
 def save_checkpoint(path, params: dict[str, np.ndarray], config_hash: str, seed: int) -> None:
     """Binary format: magic, version, seed, config hash, named float64 tensors."""
     hash_bytes = config_hash.encode("ascii")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IQI", CHECKPOINT_VERSION, seed, len(hash_bytes)))
         fh.write(hash_bytes)

@@ -3,7 +3,9 @@
 Everything here is exact math over small candidate slates: truncated DCG/NDCG
 with base-2 gains, the Plackett-Luce distribution parameterized by a raw score
 vector, its log-density gradient, and a brute-force enumeration oracle used to
-cross-check every sampled estimator in the training stack.
+cross-check every sampled estimator in the training stack. NDCG and the
+Plackett-Luce log-density with its gradient are each written once, batched
+over rankings; the one-ranking functions are validated views of them.
 """
 from __future__ import annotations
 
@@ -73,14 +75,24 @@ def dcg(perm, rel, cutoff: int) -> float:
     return float(np.dot(gains, discounts(c)))
 
 
-def ndcg(perm, rel, cutoff: int) -> float:
-    """DCG normalized by the ideal ordering's DCG, truncated at the same cutoff."""
-    p = _as_permutation(perm)
-    r = _as_grades(rel, p.size)
+def batched_ndcg(perms, rel, cutoff: int) -> np.ndarray:
+    """NDCG of every row of an (N, K) ranking array against one grade vector."""
+    r = _as_grades(rel)
+    p = np.asarray(perms, dtype=np.int64)
+    if p.ndim != 2 or p.shape[1] != r.size:
+        raise ContractViolation(f"rankings must be (N, {r.size}), got shape {p.shape}")
     if not np.any(r > 0):
         raise AllZeroRelevance("NDCG undefined: all relevance grades are zero")
-    ideal = ideal_permutation(r)
-    return dcg(p, r, cutoff) / dcg(ideal, r, cutoff)
+    c = min(_check_cutoff(cutoff), r.size)
+    gains = np.exp2(r) - 1.0
+    disc = discounts(c)
+    ideal = float(np.dot(np.sort(gains)[::-1][:c], disc))
+    return (gains[p[:, :c]] @ disc) / ideal
+
+
+def ndcg(perm, rel, cutoff: int) -> float:
+    """DCG normalized by the ideal ordering's DCG, truncated at the same cutoff."""
+    return float(batched_ndcg(_as_permutation(perm)[None, :], rel, cutoff)[0])
 
 
 def _suffix_logsumexp(s_perm: np.ndarray) -> np.ndarray:
@@ -89,17 +101,44 @@ def _suffix_logsumexp(s_perm: np.ndarray) -> np.ndarray:
     return np.flip(np.logaddexp.accumulate(rev, axis=-1), axis=-1)
 
 
-def pl_log_prob(perm, scores) -> float:
-    """Log-probability of drawing `perm` under Plackett-Luce with raw scores.
+def pl_log_probs_and_grads(perms, scores) -> tuple[np.ndarray, np.ndarray]:
+    """Plackett-Luce log-probabilities (N,) of N rankings and their score gradients (N, K).
 
-    P(perm|s) = prod_k exp(s_{perm[k]}) / sum_{j>=k} exp(s_{perm[j]}).
+    P(perm|s) = prod_k exp(s_{perm[k]}) / sum_{j>=k} exp(s_{perm[j]}), and
+    d log P / d s_i = 1 - the sum, over the stages k at which i was still
+    available, of the stage-k softmax weight of i. Unavailable slots are
+    masked before exp, so any score spread gives exact zeros, never inf * 0.
     """
+    p = np.asarray(perms, dtype=np.int64)
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1 or p.ndim != 2 or p.shape[1] != s.size:
+        raise ContractViolation(f"need rankings (N, K) and scores (K,), got {p.shape} and {s.shape}")
+    k = s.size
+    s_perm = s[p]
+    lse = _suffix_logsumexp(s_perm)  # (N, K) stagewise denominators
+    avail = np.arange(k)[:, None] <= np.arange(k)[None, :]  # stage k sees slots j >= k
+    log_weights = np.where(avail, s_perm[:, None, :] - lse[:, :, None], -np.inf)  # (N, stage, slot)
+    grads = np.empty_like(s_perm)
+    np.put_along_axis(grads, p, 1.0 - np.exp(log_weights).sum(axis=1), axis=1)
+    return np.sum(s_perm - lse, axis=1), grads
+
+
+def _one_ranking(perm, scores) -> tuple[np.ndarray, np.ndarray]:
     p = _as_permutation(perm)
     s = _as_scores(scores)
     if s.size != p.size:
         raise ContractViolation(f"scores length {s.size} != permutation length {p.size}")
-    s_perm = s[p]
-    return float(np.sum(s_perm - _suffix_logsumexp(s_perm)))
+    return pl_log_probs_and_grads(p[None, :], s)
+
+
+def pl_log_prob(perm, scores) -> float:
+    """Log-probability of drawing `perm` under Plackett-Luce with raw scores."""
+    return float(_one_ranking(perm, scores)[0][0])
+
+
+def pl_grad_scores(perm, scores) -> np.ndarray:
+    """Gradient of pl_log_prob with respect to the score vector."""
+    return _one_ranking(perm, scores)[1][0]
 
 
 def pl_sample_many(scores, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,28 +176,6 @@ def pl_sample(scores, rng: np.random.Generator) -> np.ndarray:
     return pl_sample_many(scores, 1, rng)[0]
 
 
-def pl_grad_scores(perm, scores) -> np.ndarray:
-    """Gradient of pl_log_prob with respect to the score vector.
-
-    d log P / d s_i = [i ranked] - sum over stages k where i was still
-    available of the stage-k softmax weight of i.
-    """
-    p = _as_permutation(perm)
-    s = _as_scores(scores)
-    if s.size != p.size:
-        raise ContractViolation(f"scores length {s.size} != permutation length {p.size}")
-    s_perm = s[p]
-    lse = _suffix_logsumexp(s_perm)
-    k = s.size
-    # weights[k, j] = softmax weight of item perm[j] at stage k (valid for j >= k)
-    weights = np.exp(s_perm[None, :] - lse[:, None])
-    tri = np.tril(weights.T)  # tri[j, k] = weight at stage k<=j
-    grad_perm = 1.0 - tri.sum(axis=1)
-    grad = np.empty(k, dtype=np.float64)
-    grad[p] = grad_perm
-    return grad
-
-
 def enumerate_expected_reward(scores, rel, cutoff: int) -> tuple[float, np.ndarray]:
     """Exact E[ndcg(tau)] and its score gradient by summing over all K! permutations.
 
@@ -167,44 +184,14 @@ def enumerate_expected_reward(scores, rel, cutoff: int) -> tuple[float, np.ndarr
     sampled estimator in training must match in expectation.
     """
     s = _as_scores(scores)
-    r = _as_grades(rel, s.size)
     if s.size > MAX_ENUMERATION_K:
         raise OracleTooLarge(
             f"enumeration over {s.size}! permutations exceeds the K={MAX_ENUMERATION_K} cap"
         )
-    if not np.any(r > 0):
-        raise AllZeroRelevance("NDCG undefined: all relevance grades are zero")
-    expected = 0.0
-    grad = np.zeros(s.size, dtype=np.float64)
-    for perm in itertools.permutations(range(s.size)):
-        p = np.asarray(perm, dtype=np.int64)
-        prob = float(np.exp(pl_log_prob(p, s)))
-        reward = ndcg(p, r, cutoff)
-        expected += prob * reward
-        grad += prob * reward * pl_grad_scores(p, s)
-    return expected, grad
-
-
-def _batched_ndcg(perms: np.ndarray, rel: np.ndarray, cutoff: int) -> np.ndarray:
-    c = min(cutoff, perms.shape[1])
-    gains = np.exp2(rel) - 1.0
-    disc = discounts(c)
-    vals = gains[perms[:, :c]] @ disc
-    ideal = float(np.dot(np.sort(gains)[::-1][:c], disc))
-    return vals / ideal
-
-
-def _batched_pl_grads(perms: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    n, k = perms.shape
-    s_perm = scores[perms]
-    lse = _suffix_logsumexp(s_perm)
-    weights = np.exp(s_perm[:, None, :] - lse[:, :, None])  # (n, stage, slot)
-    stage_idx = np.arange(k)
-    avail = stage_idx[:, None] <= stage_idx[None, :]  # stage k sees slots j >= k
-    grad_perm = 1.0 - np.sum(weights * avail[None, :, :], axis=1)
-    grads = np.empty_like(grad_perm)
-    np.put_along_axis(grads, perms, grad_perm, axis=1)
-    return grads
+    perms = np.array(list(itertools.permutations(range(s.size))), dtype=np.int64)
+    log_probs, grads = pl_log_probs_and_grads(perms, s)
+    weighted = np.exp(log_probs) * batched_ndcg(perms, rel, cutoff)
+    return float(weighted.sum()), weighted @ grads
 
 
 def mc_reward_gradient(
@@ -220,13 +207,9 @@ def mc_reward_gradient(
     Vectorized so 1e5 draws on K<=5 stay in the acceptance-time budget.
     """
     s = _as_scores(scores)
-    r = _as_grades(rel, s.size)
-    if not np.any(r > 0):
-        raise AllZeroRelevance("NDCG undefined: all relevance grades are zero")
-    c = _check_cutoff(cutoff)
     perms = pl_sample_many(s, n_draws, rng)
-    rewards = _batched_ndcg(perms, r, c)
-    per_draw = rewards[:, None] * _batched_pl_grads(perms, s)
+    rewards = batched_ndcg(perms, rel, cutoff)
+    per_draw = rewards[:, None] * pl_log_probs_and_grads(perms, s)[1]
     grad = per_draw.mean(axis=0)
     se = per_draw.std(axis=0, ddof=1) / np.sqrt(n_draws)
     return float(rewards.mean()), grad, se

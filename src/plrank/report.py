@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataFormatError
 from .evaluation import EvalReport, HistoryShuffleResult, PositionProbeResult
 
@@ -51,7 +52,7 @@ def _write_table(path, kind: str, config_hash: str, seed: int, header: list[str]
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(report_header(kind, config_hash, seed) + "\n")
         fh.write(buf.getvalue())
 
@@ -94,7 +95,7 @@ def write_summary_json(path, payload: dict, config_hash: str, seed: int) -> None
     body = dict(payload)
     body["config_hash"] = config_hash
     body["seed"] = seed
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -219,7 +220,7 @@ def write_line_chart_svg(
         f'font-size="12" transform="rotate(-90 16 {_H / 2:.1f})">{y_label}</text>'
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -273,5 +274,5 @@ def write_grouped_bars_svg(
         f'font-size="12">{x_label}</text>'
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import plrank.autodiff as ad
-from .autodiff import NEG_MASK, Tape, Tensor
+from .autodiff import Tape, Tensor
 from .errors import ConfigError, ContractViolation, TrainingDiverged
 from .policy import (
     PolicyConfig,
@@ -34,7 +34,7 @@ from .policy import (
     sequence_log_probs_tape,
     serialize_context,
 )
-from .rank import ndcg, pl_sample_many
+from .rank import batched_ndcg, pl_log_probs_and_grads, pl_sample_many
 from .rng import KeyedStreams
 from .world import RankingInstance, SftExample
 
@@ -60,8 +60,6 @@ class TrainConfig:
     batch_size: int = 1
     lr_policy: float = 3e-4
     lr_head: float = 1e-3
-    K: int = 20                      # candidates per instance
-    L: int = 20                      # history cap
     reward_cutoff: int = 10
     epsilon: float = 0.2             # ratio clip width
     inner_epochs: int = 2
@@ -77,10 +75,6 @@ class TrainConfig:
             raise ConfigError("need steps >= 0 and batch_size >= 1")
         if self.lr_policy <= 0 or self.lr_head <= 0:
             raise ConfigError("learning rates must be positive")
-        if self.K < 2:
-            raise ConfigError(f"K must be >= 2, got {self.K}")
-        if self.L < 0:
-            raise ConfigError(f"L must be >= 0, got {self.L}")
         if self.reward_cutoff < 1:
             raise ConfigError(f"reward_cutoff must be >= 1, got {self.reward_cutoff}")
         if not 0.0 < self.epsilon < 1.0:
@@ -334,9 +328,7 @@ def rollout(
     scores = scores_rows[row_of_slot]
     rank_rng = streams.stream("ranking", step, instance.instance_id)
     rankings = pl_sample_many(scores, tcfg.rankings_per_instance, rank_rng)
-    rewards = np.array(
-        [ndcg(perm, instance.relevance, tcfg.reward_cutoff) for perm in rankings]
-    )
+    rewards = batched_ndcg(rankings, instance.relevance, tcfg.reward_cutoff)
     return RolloutRecord(
         instance=instance,
         ids=ids,
@@ -353,23 +345,14 @@ def rollout(
     )
 
 
-def _stage_mask(k: int) -> np.ndarray:
-    """mask[k, j] = 0 where slot j is still available at stage k, else NEG_MASK."""
-    return np.where(np.arange(k)[None, :] >= np.arange(k)[:, None], 0.0, NEG_MASK)
-
-
 def pl_log_prob_tape(scores: Tensor, perms: np.ndarray) -> Tensor:
-    """Ranking log-probabilities (R,) of `perms` under a score Tensor (K,)."""
-    perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
-    r, k = perms.shape
-    sp = ad.index_select(scores, perms)  # (R, K) scores in ranked order
-    mask = scores.tape.constant(_stage_mask(k).reshape(1, k, k))
-    tiled = ad.add(
-        ad.broadcast_to(ad.reshape(sp, (r, 1, k)), (r, k, k)),
-        ad.broadcast_to(mask, (r, k, k)),
-    )
-    lse = ad.logsumexp(tiled, axis=-1)  # (R, K) stagewise denominators
-    return ad.add(ad.asum(sp, axis=1), ad.scale(ad.asum(lse, axis=1), -1.0))
+    """Ranking log-probabilities (R,) of `perms` under a score Tensor (K,), as one tape node."""
+    log_probs, grads = pl_log_probs_and_grads(np.atleast_2d(perms), scores.data)
+
+    def backward_fn(g: np.ndarray):
+        return (g @ grads,)
+
+    return scores.tape._record(log_probs, (scores.node_id,), backward_fn, scores.requires)
 
 
 def ranking_weights(rewards: np.ndarray, baseline: str) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConfigError, DataFormatError
 from .rng import KeyedStreams
 
@@ -396,7 +397,7 @@ def build_sft_corpus(
 def save_instances_jsonl(path, instances, meta: dict | None = None) -> None:
     header = {"schema": SCHEMA_VERSION, "kind": "instances", "count": len(instances)}
     header.update(meta or {})
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for inst in instances:
             record = {
@@ -511,7 +512,7 @@ def load_instances_jsonl(path) -> tuple[list[RankingInstance], dict]:
 def save_sft_jsonl(path, examples: list[SftExample], meta: dict | None = None) -> None:
     header = {"schema": SCHEMA_VERSION, "kind": "sft", "count": len(examples)}
     header.update(meta or {})
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for ex in examples:
             fh.write(

@@ -52,6 +52,7 @@ from plrank.training import (
     TrainConfig,
     clipped_token_objective,
     instance_objectives,
+    pl_log_prob_tape,
     rl_train,
     rollout,
     sft_train,
@@ -208,6 +209,19 @@ def _fd_battery_cases():
         return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read7)))
 
     cases.append((f7, [q7, k7, v7]))
+
+    # fused Plackett-Luce log-probs of R=3 rankings over head scores, K=5
+    hidden8 = n(5, 4)
+    w8a, w8b = n(4, 3), n(3, 1)
+    perms8 = np.stack([rng.permutation(5) for _ in range(3)])
+    weights8 = n(3)
+
+    def f8(al, bl):
+        tape = al.tape
+        s = ad.reshape(ad.matmul(ad.tanh(ad.matmul(tape.constant(hidden8), al)), bl), (5,))
+        return ad.asum(ad.mul(pl_log_prob_tape(s, perms8), tape.constant(weights8)))
+
+    cases.append((f8, [w8a, w8b]))
     return cases
 
 
@@ -344,7 +358,7 @@ def test_a04_clipped_update_contract():
         max_len=96, max_gen=16, head_hidden=16, init_std=0.02,
     )
     params = init_params(pcfg, substream(11, "init", "policy"))
-    tcfg = TrainConfig(steps=1, K=6, L=6, reward_cutoff=3)
+    tcfg = TrainConfig(steps=1, reward_cutoff=3)
     record = rollout(params, instances[0], pcfg, tcfg, pcfg.vocab(), KeyedStreams(11), 0)
     lp_now = np.stack(
         [
@@ -469,8 +483,8 @@ def test_a06_ablation_ordering():
         seed=101,
         world=ABLATION_WORLD,
         data=dataclasses.replace(RunConfig().data, K=20, L=10),
-        sft=TrainConfig(steps=400, batch_size=8, K=20, L=10),
-        rl=TrainConfig(steps=600, batch_size=1, K=20, L=10),
+        sft=TrainConfig(steps=400, batch_size=8),
+        rl=TrainConfig(steps=600, batch_size=1),
     )
     pcfg = policy_config(cfg)
     vocab = pcfg.vocab()

@@ -8,6 +8,7 @@ import pytest
 import plrank.autodiff as ad
 from plrank.autodiff import NEG_MASK, Tape, fd_check
 from plrank.errors import ContractViolation
+from plrank.training import pl_log_prob_tape
 
 
 def test_matmul_forward_example():
@@ -248,6 +249,19 @@ def _battery():
         return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read10)))
 
     cases.append((f10, [q10, k10, v10]))
+
+    # 11. fused Plackett-Luce log-probs of R=3 rankings over head scores, K=5
+    hidden11 = rng.normal(size=(5, 4))
+    h11a, h11b = n(4, 3), n(3, 1)
+    perms11 = np.stack([rng.permutation(5) for _ in range(3)])
+    weights11 = rng.normal(size=3)
+
+    def f11(al, bl):
+        tape = al.tape
+        s = ad.reshape(ad.matmul(ad.tanh(ad.matmul(tape.constant(hidden11), al)), bl), (5,))
+        return ad.asum(ad.mul(pl_log_prob_tape(s, perms11), tape.constant(weights11)))
+
+    cases.append((f11, [h11a, h11b]))
     return cases
 
 

@@ -82,7 +82,6 @@ def test_policy_and_stage_views():
     assert pcfg.m == 6 and pcfg.buckets == 3
     assert pcfg.d_model == cfg.model.d_model
     rl = stage_config(cfg, "rl")
-    assert rl.K == 12 and rl.L == 7
     assert rl.steps == cfg.rl.steps
     sft = stage_config(cfg, "sft")
     assert sft.batch_size == cfg.sft.batch_size

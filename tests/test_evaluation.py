@@ -204,6 +204,7 @@ def test_history_shuffle_probe_shapes_and_determinism():
     assert a.std == pytest.approx(a.shuffle_means.std(ddof=0))
     assert a.range == pytest.approx(a.shuffle_means.max() - a.shuffle_means.min())
     assert 0.0 <= a.original_mean <= 1.0
+    assert a.original_mean == evaluate(params, instances[:5], PCFG, cutoffs=(3,)).mean[3]
 
 
 def test_report_header_round_trip():

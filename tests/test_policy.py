@@ -349,6 +349,17 @@ def test_checkpoint_round_trip(tmp_path):
         assert loaded[name].dtype == np.float64
 
 
+def test_interrupted_checkpoint_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "sft_model.bin"
+    save_checkpoint(path, tiny_params(17), "cafe", seed=3)
+    good = path.read_bytes()
+    broken = dict(tiny_params(18), zz=np.array(["not a number"]))  # sorts last: raises mid-write
+    with pytest.raises(ValueError):
+        save_checkpoint(path, broken, "cafe", seed=3)
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sft_model.bin"]
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     params = tiny_params(16)
     path = tmp_path / "model.bin"

@@ -19,6 +19,7 @@ from plrank.rank import (
     ndcg,
     pl_grad_scores,
     pl_log_prob,
+    pl_log_probs_and_grads,
     pl_sample,
     pl_sample_many,
 )
@@ -146,6 +147,21 @@ def test_pl_log_prob_extreme_scores_stable():
     v = pl_log_prob((0, 1, 2), (500.0, 0.0, -500.0))
     assert np.isfinite(v)
     assert v == pytest.approx(0.0, abs=1e-12)
+    # unavailable slots are masked before exp: spreads past exp's range never make inf * 0
+    perms = np.array(list(itertools.permutations(range(3))))
+    for s in ((500.0, 0.0, -500.0), (0.0, 360.0, -360.0)):
+        _, grads = pl_log_probs_and_grads(perms, s)
+        assert np.all(np.isfinite(grads))
+        for perm, g in zip(perms, grads):
+            assert np.array_equal(g, pl_grad_scores(perm, s))
+        top = np.argsort(s)[::-1]  # every draw at this spread
+        rel = np.zeros(3)
+        rel[top[0]] = 1
+        mean, grad, se = mc_reward_gradient(s, rel, 3, 64, np.random.default_rng(0))
+        assert mean == 1.0
+        assert np.array_equal(grad, pl_grad_scores(top, s))
+        assert grad == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+        assert np.array_equal(se, np.zeros(3))
 
 
 def test_pl_grad_worked_example_and_zero_sum():

@@ -1,6 +1,8 @@
 """Tests for both training stages and their building blocks."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,16 @@ def test_pl_log_prob_tape_matches_reference():
     grad = tape.backward(loss)[leaf.node_id]
     expected = sum(w * pl_grad_scores(p, scores) for w, p in zip(weights, perms))
     assert np.max(np.abs(grad - expected)) < 1e-10
+    # one fused node, finite where exp of the score spread would overflow
+    for s in ((500.0, 0.0, -500.0), (0.0, 360.0, -360.0)):
+        for perm in itertools.permutations(range(3)):
+            tape = Tape()
+            leaf = tape.leaf(np.array(s), requires_grad=True)
+            lp = pl_log_prob_tape(leaf, np.array([perm]))
+            assert len(tape.nodes) == 2  # the score leaf and the fused node
+            grad = tape.backward(ad.asum(lp))[leaf.node_id]
+            assert np.all(np.isfinite(grad))
+            assert np.array_equal(grad, pl_grad_scores(perm, s))
 
 
 def test_ranking_weights():
