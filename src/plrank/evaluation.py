@@ -1,6 +1,6 @@
 """Greedy evaluation, strata breakdowns, and two leakage probes.
 
-Evaluation decodes one rationale per candidate with temperature zero, ranks
+Evaluation decodes one greedy rationale per candidate, ranks
 candidates by descending head score (presentation index breaks ties, so the
 ranking is a pure function of the scores), and reports truncated ranking
 quality with normal-approximation confidence intervals. The probes hunt for
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .policy import PolicyConfig, Vocab, generate, score_hidden, serialize_context
+from .policy import PolicyConfig, Vocab, decode_slate
 from .rank import ndcg
 from .rng import KeyedStreams
 from .world import RankingInstance, UserContext
@@ -33,25 +33,11 @@ def score_instance(
     vocab: Vocab,
     cot: bool = True,
 ) -> tuple[np.ndarray, list]:
-    """Greedy rationale per candidate; returns presentation-order scores.
-
-    Candidates are batched in canonical item-id order so the arithmetic never
-    sees the presentation permutation.
-    """
-    k = len(instance.candidates)
-    canon = sorted(range(k), key=lambda s: instance.candidates[s].item_id)
-    prefix = np.stack(
-        [serialize_context(instance.ctx, instance.candidates[s], vocab) for s in canon]
+    """Greedy rationale per candidate; scores and rationales in presentation order."""
+    _, row_of_slot, rats, scores = decode_slate(
+        params, instance.ctx, instance.candidates, pcfg, vocab, cot
     )
-    mode = "cot" if cot else "decision_only"
-    rats = generate(params, prefix, None, pcfg, vocab, mode=mode, temperature=0.0)
-    scores_rows = score_hidden(params, np.stack([r.final_hidden for r in rats]))
-    scores = np.empty(k)
-    rationales = [None] * k
-    for row, slot in enumerate(canon):
-        scores[slot] = scores_rows[row]
-        rationales[slot] = rats[row]
-    return scores, rationales
+    return scores, [rats[row] for row in row_of_slot]
 
 
 @dataclass

@@ -12,6 +12,7 @@ pins the two paths together.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,7 +358,7 @@ def generate(
     rngs,
     cfg: PolicyConfig,
     vocab: Vocab,
-    mode: str = "cot",
+    cot: bool = True,
     temperature: float = 1.0,
     max_gen: int | None = None,
 ) -> list[Rationale]:
@@ -365,11 +366,10 @@ def generate(
 
     `prefix` is (B, T_p) with a shared prefix length; `rngs` is one Generator
     per row (ignored when temperature == 0, which means argmax decoding).
+    Without `cot` a row may write one decision token, then only EOS.
     Recorded token log-probs are always the temperature-1 policy's, which is
     what PPO ratios and teacher-forced re-evaluation use.
     """
-    if mode not in ("cot", "decision_only"):
-        raise ContractViolation(f"unknown generation mode {mode!r}")
     if temperature < 0.0:
         raise ContractViolation(f"temperature must be >= 0, got {temperature}")
     prefix = np.atleast_2d(np.asarray(prefix, dtype=np.int64))
@@ -383,61 +383,78 @@ def generate(
         raise ContractViolation("need one rng per row for stochastic decoding")
     state = DecodeState(cfg, b)
     hidden = _np_forward(params, prefix, cfg, state=state)[:, -1, :]
-    tokens = [[] for _ in range(b)]
-    logprobs = [[] for _ in range(b)]
+    tokens = np.full((b, g_max), vocab.EOS, dtype=np.int64)
+    logprobs = np.zeros((b, g_max))
+    lengths = np.zeros(b, dtype=np.int64)
     final_hidden = np.zeros((b, cfg.d_model))
-    truncated = np.zeros(b, dtype=bool)
     active = np.ones(b, dtype=bool)
     decided = np.zeros(b, dtype=bool)
-    decision_ids = (vocab.RECOMMEND, vocab.NOT_RECOMMEND)
     for step in range(g_max):
         logits = linear_forward(hidden, params["out.w"], params["out.b"])
         lp1 = _np_log_softmax(logits)
         masked = logits.copy()
-        if mode == "decision_only":
+        if not cot:
             allow = np.zeros((b, vocab.size), dtype=bool)
             allow[:, vocab.EOS] = True
             allow[~decided, vocab.RECOMMEND] = True
             allow[~decided, vocab.NOT_RECOMMEND] = True
             masked[~allow] = NEG_MASK
+        rows = np.flatnonzero(active)
         chosen = np.full(b, vocab.EOS, dtype=np.int64)
         if temperature == 0.0:
-            chosen_active = np.argmax(masked, axis=-1)
-            chosen[active] = chosen_active[active]
+            chosen[rows] = np.argmax(masked[rows], axis=-1)
         else:
             z = masked / temperature
             z -= z.max(axis=-1, keepdims=True)
-            probs = np.exp(z)
-            cdf = np.cumsum(probs, axis=-1)
-            for row in np.nonzero(active)[0]:
-                u = rngs[row].random() * cdf[row, -1]
-                chosen[row] = min(int((cdf[row] <= u).sum()), vocab.size - 1)
-        for row in np.nonzero(active)[0]:
-            tok = int(chosen[row])
-            tokens[row].append(tok)
-            logprobs[row].append(float(lp1[row, tok]))
-            if tok in decision_ids:
-                decided[row] = True
+            cdf = np.cumsum(np.exp(z), axis=-1)[rows]
+            u = np.array([rngs[row].random() for row in rows]) * cdf[:, -1]
+            chosen[rows] = np.minimum((cdf <= u[:, None]).sum(axis=-1), vocab.size - 1)
+        tokens[rows, step] = chosen[rows]
+        logprobs[rows, step] = lp1[rows, chosen[rows]]
+        lengths[rows] = step + 1
+        decided |= (chosen == vocab.RECOMMEND) | (chosen == vocab.NOT_RECOMMEND)
         hidden = _np_decode_step(params, state, chosen, cfg)
-        just_finished = active & (chosen == vocab.EOS)
-        last_step = step == g_max - 1
-        for row in np.nonzero(active)[0]:
-            if just_finished[row] or last_step:
-                final_hidden[row] = hidden[row]
-                if not just_finished[row]:
-                    truncated[row] = True
-        active &= ~just_finished
+        done = active & ((chosen == vocab.EOS) | (step == g_max - 1))
+        final_hidden[done] = hidden[done]
+        active &= ~done
         if not active.any():
             break
+    truncated = tokens[np.arange(b), lengths - 1] != vocab.EOS
     return [
-        Rationale(
-            tokens=np.asarray(tokens[row], dtype=np.int64),
-            token_logprobs=np.asarray(logprobs[row]),
-            final_hidden=final_hidden[row].copy(),
-            truncated=bool(truncated[row]),
-        )
-        for row in range(b)
+        Rationale(tokens[row, :n], logprobs[row, :n], final_hidden[row], bool(truncated[row]))
+        for row, n in enumerate(lengths)
     ]
+
+
+def decode_slate(
+    params: dict[str, np.ndarray],
+    ctx: UserContext,
+    candidates: tuple[CandidateItem, ...],
+    cfg: PolicyConfig,
+    vocab: Vocab,
+    cot: bool,
+    rng_of: Callable[[str], np.random.Generator] | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[Rationale], np.ndarray]:
+    """One rationale and one head score per candidate of a slate.
+
+    Rows are the candidates sorted by item id, so the arithmetic never sees
+    the presentation order. Decoding is greedy when `rng_of` is None;
+    otherwise each row samples at temperature 1 from `rng_of(item_id)`.
+    Returns (prefix (K, P) in row order, the row of each presentation slot,
+    rationales in row order, scores (K,) in presentation order).
+    """
+    k = len(candidates)
+    canon = sorted(range(k), key=lambda s: candidates[s].item_id)
+    row_of_slot = np.empty(k, dtype=np.int64)
+    row_of_slot[canon] = np.arange(k)
+    prefix = np.stack([serialize_context(ctx, candidates[s], vocab) for s in canon])
+    if rng_of is None:
+        rats = generate(params, prefix, None, cfg, vocab, cot=cot, temperature=0.0)
+    else:
+        rngs = [rng_of(candidates[s].item_id) for s in canon]
+        rats = generate(params, prefix, rngs, cfg, vocab, cot=cot)
+    scores = score_hidden(params, np.stack([r.final_hidden for r in rats]))[row_of_slot]
+    return prefix, row_of_slot, rats, scores
 
 
 def token_log_probs(
@@ -456,11 +473,6 @@ def token_log_probs(
     positions = np.arange(prefix.size - 1, prefix.size - 1 + tokens.size)
     logits = linear_forward(hidden[0, positions], params["out.w"], params["out.b"])
     return _np_log_softmax(logits)[np.arange(tokens.size), tokens]
-
-
-def score(params: dict[str, np.ndarray], rationale: Rationale) -> float:
-    """Scoring head applied to a rationale's final hidden state."""
-    return float(score_hidden(params, rationale.final_hidden[None, :])[0])
 
 
 def score_hidden(params: dict[str, np.ndarray], hidden: np.ndarray) -> np.ndarray:

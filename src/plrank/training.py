@@ -24,15 +24,13 @@ from .policy import (
     PolicyConfig,
     Rationale,
     Vocab,
+    decode_slate,
     forward_hidden_tape,
     gather_positions_tape,
-    generate,
     head_score_tape,
     is_head_param,
     lift_params,
-    score_hidden,
     sequence_log_probs_tape,
-    serialize_context,
 )
 from .rank import batched_ndcg, pl_log_probs_and_grads, pl_sample_many
 from .rng import KeyedStreams
@@ -68,7 +66,6 @@ class TrainConfig:
     joint: bool = True               # False freezes the policy during stage two
     head_grads_into_policy: bool = True
     cot: bool = True                 # False restricts rationales to bare decisions
-    temperature: float = 1.0
 
     def validate(self) -> None:
         if self.steps < 0 or self.batch_size < 1:
@@ -87,8 +84,6 @@ class TrainConfig:
             raise ConfigError(f"unknown baseline {self.baseline!r}")
         if self.baseline == "loo" and self.rankings_per_instance < 2:
             raise ConfigError("loo baseline needs rankings_per_instance >= 2")
-        if self.temperature < 0.0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
 
 
 class Adam:
@@ -296,36 +291,24 @@ def rollout(
     streams: KeyedStreams,
     step: int,
 ) -> RolloutRecord:
-    """Sample rationales, score them, and sample rankings from the scores."""
-    k = len(instance.candidates)
-    canon = sorted(range(k), key=lambda s: instance.candidates[s].item_id)
-    row_of_slot = np.empty(k, dtype=np.int64)
-    for row, slot in enumerate(canon):
-        row_of_slot[slot] = row
-    prefix = np.stack(
-        [serialize_context(instance.ctx, instance.candidates[s], vocab) for s in canon]
+    """Sample rationales, score them, and sample rankings from the scores.
+
+    Rationales are sampled at temperature 1, the policy whose log-probs the
+    record keeps and whose ratio the clipped objective takes.
+    """
+    prefix, row_of_slot, rats, scores = decode_slate(
+        params, instance.ctx, instance.candidates, pcfg, vocab, tcfg.cot,
+        rng_of=lambda item_id: streams.stream("rollout", step, instance.instance_id, item_id),
     )
-    rngs = [
-        streams.stream("rollout", step, instance.instance_id, instance.candidates[s].item_id)
-        for s in canon
-    ]
-    mode = "cot" if tcfg.cot else "decision_only"
-    rats = generate(params, prefix, rngs, pcfg, vocab, mode=mode, temperature=tcfg.temperature)
-    p = prefix.shape[1]
-    g = max(len(r.tokens) for r in rats)
+    k, p = prefix.shape
+    lengths = np.array([r.tokens.size for r in rats])
+    g = int(lengths.max())
+    generated = np.arange(g) < lengths[:, None]
     ids = np.full((k, p + g), vocab.EOS, dtype=np.int64)
     ids[:, :p] = prefix
-    gen_mask = np.zeros((k, g))
+    ids[:, p:][generated] = np.concatenate([r.tokens for r in rats])
     logprobs_old = np.zeros((k, g))
-    final_positions = np.empty(k, dtype=np.int64)
-    for row, r in enumerate(rats):
-        n = len(r.tokens)
-        ids[row, p : p + n] = r.tokens
-        gen_mask[row, :n] = 1.0
-        logprobs_old[row, :n] = r.token_logprobs
-        final_positions[row] = p + n - 1
-    scores_rows = score_hidden(params, np.stack([r.final_hidden for r in rats]))
-    scores = scores_rows[row_of_slot]
+    logprobs_old[generated] = np.concatenate([r.token_logprobs for r in rats])
     rank_rng = streams.stream("ranking", step, instance.instance_id)
     rankings = pl_sample_many(scores, tcfg.rankings_per_instance, rank_rng)
     rewards = batched_ndcg(rankings, instance.relevance, tcfg.reward_cutoff)
@@ -334,9 +317,9 @@ def rollout(
         ids=ids,
         prefix_len=p,
         gen_len=g,
-        gen_mask=gen_mask,
+        gen_mask=generated.astype(np.float64),
         logprobs_old=logprobs_old,
-        final_positions=final_positions,
+        final_positions=p + lengths - 1,
         row_of_slot=row_of_slot,
         rationales=rats,
         scores=scores,

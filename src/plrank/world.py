@@ -36,7 +36,6 @@ class WorldConfig:
     relevance_basis: str = "token"  # "token": bucket-center affinity, "latent": raw affinity
     history_geom_p: float = 0.3     # geometric parameter for target history length
     negative_sampling: str = "popularity"  # or "uniform"
-    max_grade: int = 1
 
     def validate(self) -> None:
         if self.n_users < 1 or self.n_items < 2:
@@ -53,8 +52,6 @@ class WorldConfig:
             raise ConfigError(f"unknown relevance_basis {self.relevance_basis!r}")
         if self.exposure_pool > self.n_items:
             raise ConfigError("exposure_pool cannot exceed n_items")
-        if self.max_grade != 1:
-            raise ConfigError("only binary relevance (max_grade=1) is implemented")
 
 
 @dataclass(frozen=True)

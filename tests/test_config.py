@@ -33,6 +33,10 @@ def test_unknown_keys_are_named():
         run_config_from_dict({"world": {"n_user": 10}})
     with pytest.raises(ConfigError, match="unknown key rl.clip"):
         run_config_from_dict({"rl": {"clip": 0.3}})
+    with pytest.raises(ConfigError, match="unknown key rl.temperature"):
+        run_config_from_dict({"rl": {"temperature": 0.5}})
+    with pytest.raises(ConfigError, match="unknown key world.max_grade"):
+        run_config_from_dict({"world": {"max_grade": 1}})
 
 
 def test_section_overrides_change_hash():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import plrank.autodiff as ad
-from plrank.autodiff import Tape, fd_check
+from plrank.autodiff import NEG_MASK, Tape, fd_check, linear_forward
 from plrank.errors import ConfigError, ContractViolation, DataFormatError
 from plrank.policy import (
     DecodeState,
@@ -14,6 +14,7 @@ from plrank.policy import (
     Vocab,
     _np_decode_step,
     _np_forward,
+    _np_log_softmax,
     clone_params,
     forward_hidden_tape,
     gather_positions_tape,
@@ -24,7 +25,6 @@ from plrank.policy import (
     lift_params,
     load_checkpoint,
     save_checkpoint,
-    score,
     score_hidden,
     sequence_log_probs_tape,
     serialize_context,
@@ -176,7 +176,7 @@ def test_generation_decision_only_support():
     v = TINY.vocab()
     prefix = np.array([[v.attr(0, 1), v.attr(1, 2), v.SEP, v.attr(0, 0), v.attr(1, 1), v.BOS]] * 4)
     rngs = [substream(9, "gen", i) for i in range(4)]
-    outs = generate(params, prefix, rngs, TINY, v, mode="decision_only")
+    outs = generate(params, prefix, rngs, TINY, v, cot=False)
     for r in outs:
         assert len(r.tokens) <= 2
         assert set(r.tokens.tolist()) <= {v.RECOMMEND, v.NOT_RECOMMEND, v.EOS}
@@ -193,7 +193,7 @@ def test_generation_cot_terminates_or_truncates():
     v = TINY.vocab()
     prefix = np.array([[v.attr(0, 0), v.SEP, v.attr(1, 1), v.BOS]] * 6)
     rngs = [substream(11, "gen", i) for i in range(6)]
-    outs = generate(params, prefix, rngs, TINY, v, mode="cot")
+    outs = generate(params, prefix, rngs, TINY, v, cot=True)
     for r in outs:
         assert 1 <= len(r.tokens) <= TINY.max_gen
         assert np.all(r.tokens < v.size)
@@ -211,7 +211,7 @@ def test_generation_deterministic_under_keyed_rngs():
 
     def roll():
         rngs = [substream(21, "gen", i) for i in range(3)]
-        return generate(params, prefix, rngs, TINY, v, mode="cot")
+        return generate(params, prefix, rngs, TINY, v, cot=True)
 
     a, b = roll(), roll()
     for ra, rb in zip(a, b):
@@ -238,7 +238,7 @@ def test_recorded_logprobs_match_teacher_forced_reeval():
     prefix_row = np.array([v.attr(0, 1), v.attr(1, 2), v.SEP, v.attr(0, 0), v.attr(1, 1), v.BOS])
     prefix = np.tile(prefix_row, (5, 1))
     rngs = [substream(33, "gen", i) for i in range(5)]
-    outs = generate(params, prefix, rngs, TINY, v, mode="cot")
+    outs = generate(params, prefix, rngs, TINY, v, cot=True)
     for row, r in enumerate(outs):
         redo = token_log_probs(params, prefix[row], r.tokens, TINY)
         assert np.max(np.abs(redo - r.token_logprobs)) < 1e-10
@@ -250,7 +250,7 @@ def test_tape_sequence_log_probs_match_recorded():
     prefix_row = np.array([v.attr(0, 2), v.attr(1, 0), v.SEP, v.attr(0, 1), v.attr(1, 1), v.BOS])
     prefix = np.tile(prefix_row, (4, 1))
     rngs = [substream(55, "gen", i) for i in range(4)]
-    outs = generate(params, prefix, rngs, TINY, v, mode="cot")
+    outs = generate(params, prefix, rngs, TINY, v, cot=True)
     gen_len = max(len(r.tokens) for r in outs)
     ids = np.full((4, prefix.shape[1] + gen_len), v.EOS, dtype=np.int64)
     ids[:, : prefix.shape[1]] = prefix
@@ -278,11 +278,6 @@ def test_head_score_paths_agree():
     pt = lift_params(tape, params)
     out = head_score_tape(pt, tape.constant(hidden))
     assert np.max(np.abs(out.data - ref)) < 1e-12
-    r = Rationale(
-        tokens=np.array([1]), token_logprobs=np.array([-0.5]),
-        final_hidden=hidden[0], truncated=False,
-    )
-    assert score(params, r) == pytest.approx(ref[0])
 
 
 def test_rationale_decision_helper():
@@ -402,3 +397,94 @@ def test_clone_params_is_deep():
     copy = clone_params(params)
     copy["emb"][0, 0] += 1.0
     assert params["emb"][0, 0] != copy["emb"][0, 0]
+
+
+def _reference_generate(params, prefix, rngs, cfg, vocab, mode="cot", temperature=1.0, max_gen=None):
+    """Per-row decoding loop that `generate`'s array bookkeeping must reproduce bit for bit."""
+    prefix = np.atleast_2d(np.asarray(prefix, dtype=np.int64))
+    b, t_p = prefix.shape
+    g_max = cfg.max_gen if max_gen is None else int(max_gen)
+    state = DecodeState(cfg, b)
+    hidden = _np_forward(params, prefix, cfg, state=state)[:, -1, :]
+    tokens = [[] for _ in range(b)]
+    logprobs = [[] for _ in range(b)]
+    final_hidden = np.zeros((b, cfg.d_model))
+    truncated = np.zeros(b, dtype=bool)
+    active = np.ones(b, dtype=bool)
+    decided = np.zeros(b, dtype=bool)
+    decision_ids = (vocab.RECOMMEND, vocab.NOT_RECOMMEND)
+    for step in range(g_max):
+        logits = linear_forward(hidden, params["out.w"], params["out.b"])
+        lp1 = _np_log_softmax(logits)
+        masked = logits.copy()
+        if mode == "decision_only":
+            allow = np.zeros((b, vocab.size), dtype=bool)
+            allow[:, vocab.EOS] = True
+            allow[~decided, vocab.RECOMMEND] = True
+            allow[~decided, vocab.NOT_RECOMMEND] = True
+            masked[~allow] = NEG_MASK
+        chosen = np.full(b, vocab.EOS, dtype=np.int64)
+        if temperature == 0.0:
+            chosen_active = np.argmax(masked, axis=-1)
+            chosen[active] = chosen_active[active]
+        else:
+            z = masked / temperature
+            z -= z.max(axis=-1, keepdims=True)
+            probs = np.exp(z)
+            cdf = np.cumsum(probs, axis=-1)
+            for row in np.nonzero(active)[0]:
+                u = rngs[row].random() * cdf[row, -1]
+                chosen[row] = min(int((cdf[row] <= u).sum()), vocab.size - 1)
+        for row in np.nonzero(active)[0]:
+            tok = int(chosen[row])
+            tokens[row].append(tok)
+            logprobs[row].append(float(lp1[row, tok]))
+            if tok in decision_ids:
+                decided[row] = True
+        hidden = _np_decode_step(params, state, chosen, cfg)
+        just_finished = active & (chosen == vocab.EOS)
+        last_step = step == g_max - 1
+        for row in np.nonzero(active)[0]:
+            if just_finished[row] or last_step:
+                final_hidden[row] = hidden[row]
+                if not just_finished[row]:
+                    truncated[row] = True
+        active &= ~just_finished
+        if not active.any():
+            break
+    return [
+        Rationale(
+            tokens=np.asarray(tokens[row], dtype=np.int64),
+            token_logprobs=np.asarray(logprobs[row]),
+            final_hidden=final_hidden[row].copy(),
+            truncated=bool(truncated[row]),
+        )
+        for row in range(b)
+    ]
+
+
+def test_generate_matches_per_row_reference():
+    v = TINY.vocab()
+    for cot in (True, False):
+        for temperature in (0.0, 1.0):
+            stopped, cut = set(), 0
+            for seed in range(12):
+                params = tiny_params(40 + seed)
+                prefix = substream(seed, "ref", "prefix").integers(0, v.size, size=(8, 9))
+                prefix[:, -1] = v.BOS
+                for max_gen in (1, 3, TINY.max_gen):
+                    rngs = lambda: [substream(seed, "ref", i) for i in range(8)]
+                    got = generate(params, prefix, rngs(), TINY, v, cot, temperature, max_gen)
+                    mode = "cot" if cot else "decision_only"
+                    want = _reference_generate(params, prefix, rngs(), TINY, v, mode, temperature, max_gen)
+                    for g, w in zip(got, want):
+                        assert g.tokens.dtype == w.tokens.dtype
+                        assert np.array_equal(g.tokens, w.tokens)
+                        assert np.array_equal(g.token_logprobs, w.token_logprobs)
+                        assert np.array_equal(g.final_hidden, w.final_hidden)
+                        assert g.truncated == w.truncated
+                        if g.truncated:
+                            cut += 1
+                        else:
+                            stopped.add(len(g.tokens))
+            assert len(stopped) >= 2 and cut > 0  # rows end at different steps and at max_gen
