@@ -20,7 +20,7 @@ from .rank import (
     pl_sample,
     pl_sample_many,
 )
-from .training import TrainConfig, rl_train, rollout, sft_train
+from .training import SftConfig, TrainConfig, rl_train, rollout, sft_train
 from .world import (
     RankingInstance,
     WorldConfig,
@@ -36,6 +36,7 @@ __all__ = [
     "PolicyConfig",
     "RankingInstance",
     "RunConfig",
+    "SftConfig",
     "TrainConfig",
     "Vocab",
     "WorldConfig",

@@ -425,11 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--config", default=None, help="JSON run config (defaults used if absent)")
         p.add_argument("--out", default="run", help="artifact directory")
-        if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p = sub.add_parser("gen-data", help="generate the world and ranking instances")
     common(p)

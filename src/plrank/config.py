@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .atomic import atomic_write
 from .errors import ConfigError, DataFormatError
-from .policy import ModelConfig, PolicyConfig
-from .training import TrainConfig
+from .policy import ModelConfig, PolicyConfig, prefix_length
+from .training import SftConfig, TrainConfig
 from .world import SPLITS, WorldConfig
 
 
@@ -74,7 +74,7 @@ class RunConfig:
     world: WorldConfig = WorldConfig()
     data: DataConfig = DataConfig()
     model: ModelConfig = ModelConfig()
-    sft: TrainConfig = TrainConfig(steps=2000, batch_size=16, lr_policy=1e-3)
+    sft: SftConfig = SftConfig(steps=2000, batch_size=16, lr_policy=1e-3)
     rl: TrainConfig = TrainConfig(
         steps=3000,
         batch_size=1,
@@ -91,7 +91,7 @@ class RunConfig:
         self.sft.validate()
         self.rl.validate()
         self.model.validate()
-        prefix = self.world.m * (self.data.L + 2) + self.data.L + 1
+        prefix = prefix_length(self.world.m, self.data.L)
         if prefix + self.model.max_gen > self.model.max_len:
             raise ConfigError(
                 f"serialized prefix ({prefix}) plus max_gen ({self.model.max_gen}) "
@@ -99,35 +99,19 @@ class RunConfig:
             )
 
 
-_SECTIONS = {
-    "world": WorldConfig,
-    "data": DataConfig,
-    "model": ModelConfig,
-    "sft": TrainConfig,
-    "rl": TrainConfig,
-    "eval": EvalConfig,
-}
+_SECTIONS = ("world", "data", "model", "sft", "rl", "eval")
 
 
-def _build_section(cls, data: dict, where: str):
+def _build_section(base, data: dict, where: str):
+    """`base` (the desk section) with the keys of `data` replaced."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = {f.name for f in dataclasses.fields(base)}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown key {where}.{key}")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[f.name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in section {where!r}: {exc}") from exc
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+    return dataclasses.replace(base, **kwargs)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -142,12 +126,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
         if not isinstance(data["seed"], int):
             raise ConfigError(f"seed must be an integer, got {data['seed']!r}")
         kwargs["seed"] = data["seed"]
-    for name, cls in _SECTIONS.items():
-        if name in data:
-            base = _build_section(cls, data[name], name)
-        else:
-            base = getattr(defaults, name)
-        kwargs[name] = base
+    for name in _SECTIONS:
+        base = getattr(defaults, name)
+        kwargs[name] = _build_section(base, data[name], name) if name in data else base
     cfg = RunConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -185,7 +166,7 @@ def policy_config(cfg: RunConfig) -> PolicyConfig:
     return PolicyConfig(m=cfg.world.m, buckets=cfg.world.buckets, **dataclasses.asdict(cfg.model))
 
 
-def stage_config(cfg: RunConfig, stage: str) -> TrainConfig:
+def stage_config(cfg: RunConfig, stage: str) -> SftConfig:
     """The training config of one stage, "sft" or "rl"."""
     if stage == "sft":
         return cfg.sft

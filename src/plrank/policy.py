@@ -138,6 +138,11 @@ def serialize_context(ctx: UserContext, item: CandidateItem, vocab: Vocab) -> np
     return np.asarray(out, dtype=np.int64)
 
 
+def prefix_length(m: int, history_len: int) -> int:
+    """Length of `serialize_context`'s output for a history of `history_len` events."""
+    return m * (history_len + 2) + max(history_len - 1, 0) + 2
+
+
 def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """All weights N(0, init_std), all biases zero."""
     cfg.validate()
@@ -359,37 +364,32 @@ def generate(
     cfg: PolicyConfig,
     vocab: Vocab,
     cot: bool = True,
-    temperature: float = 1.0,
-    max_gen: int | None = None,
 ) -> list[Rationale]:
-    """Sample one rationale per prefix row.
+    """Decode one rationale per prefix row, for at most `cfg.max_gen` tokens.
 
     `prefix` is (B, T_p) with a shared prefix length; `rngs` is one Generator
-    per row (ignored when temperature == 0, which means argmax decoding).
+    per row to sample at temperature 1, or None to decode by argmax.
     Without `cot` a row may write one decision token, then only EOS.
-    Recorded token log-probs are always the temperature-1 policy's, which is
-    what PPO ratios and teacher-forced re-evaluation use.
+    Recorded token log-probs are the temperature-1 policy's, which is what
+    PPO ratios and teacher-forced re-evaluation use.
     """
-    if temperature < 0.0:
-        raise ContractViolation(f"temperature must be >= 0, got {temperature}")
     prefix = np.atleast_2d(np.asarray(prefix, dtype=np.int64))
     b, t_p = prefix.shape
-    g_max = cfg.max_gen if max_gen is None else int(max_gen)
-    if t_p + g_max > cfg.max_len:
+    if t_p + cfg.max_gen > cfg.max_len:
         raise ContractViolation(
-            f"prefix length {t_p} + max_gen {g_max} exceeds max_len {cfg.max_len}"
+            f"prefix length {t_p} + max_gen {cfg.max_gen} exceeds max_len {cfg.max_len}"
         )
-    if temperature > 0.0 and (rngs is None or len(rngs) != b):
-        raise ContractViolation("need one rng per row for stochastic decoding")
+    if rngs is not None and len(rngs) != b:
+        raise ContractViolation(f"need one rng per row, got {len(rngs)} for {b} rows")
     state = DecodeState(cfg, b)
     hidden = _np_forward(params, prefix, cfg, state=state)[:, -1, :]
-    tokens = np.full((b, g_max), vocab.EOS, dtype=np.int64)
-    logprobs = np.zeros((b, g_max))
+    tokens = np.full((b, cfg.max_gen), vocab.EOS, dtype=np.int64)
+    logprobs = np.zeros((b, cfg.max_gen))
     lengths = np.zeros(b, dtype=np.int64)
     final_hidden = np.zeros((b, cfg.d_model))
     active = np.ones(b, dtype=bool)
     decided = np.zeros(b, dtype=bool)
-    for step in range(g_max):
+    for step in range(cfg.max_gen):
         logits = linear_forward(hidden, params["out.w"], params["out.b"])
         lp1 = _np_log_softmax(logits)
         masked = logits.copy()
@@ -401,11 +401,10 @@ def generate(
             masked[~allow] = NEG_MASK
         rows = np.flatnonzero(active)
         chosen = np.full(b, vocab.EOS, dtype=np.int64)
-        if temperature == 0.0:
+        if rngs is None:
             chosen[rows] = np.argmax(masked[rows], axis=-1)
         else:
-            z = masked / temperature
-            z -= z.max(axis=-1, keepdims=True)
+            z = masked - masked.max(axis=-1, keepdims=True)
             cdf = np.cumsum(np.exp(z), axis=-1)[rows]
             u = np.array([rngs[row].random() for row in rows]) * cdf[:, -1]
             chosen[rows] = np.minimum((cdf <= u[:, None]).sum(axis=-1), vocab.size - 1)
@@ -414,7 +413,7 @@ def generate(
         lengths[rows] = step + 1
         decided |= (chosen == vocab.RECOMMEND) | (chosen == vocab.NOT_RECOMMEND)
         hidden = _np_decode_step(params, state, chosen, cfg)
-        done = active & ((chosen == vocab.EOS) | (step == g_max - 1))
+        done = active & ((chosen == vocab.EOS) | (step == cfg.max_gen - 1))
         final_hidden[done] = hidden[done]
         active &= ~done
         if not active.any():
@@ -448,11 +447,8 @@ def decode_slate(
     row_of_slot = np.empty(k, dtype=np.int64)
     row_of_slot[canon] = np.arange(k)
     prefix = np.stack([serialize_context(ctx, candidates[s], vocab) for s in canon])
-    if rng_of is None:
-        rats = generate(params, prefix, None, cfg, vocab, cot=cot, temperature=0.0)
-    else:
-        rngs = [rng_of(candidates[s].item_id) for s in canon]
-        rats = generate(params, prefix, rngs, cfg, vocab, cot=cot)
+    rngs = None if rng_of is None else [rng_of(candidates[s].item_id) for s in canon]
+    rats = generate(params, prefix, rngs, cfg, vocab, cot=cot)
     scores = score_hidden(params, np.stack([r.final_hidden for r in rats]))[row_of_slot]
     return prefix, row_of_slot, rats, scores
 

@@ -46,8 +46,5 @@ class KeyedStreams:
     def stream(self, *parts) -> np.random.Generator:
         return substream(self.master_seed, *parts)
 
-    def key(self, *parts) -> int:
-        return stream_key(self.master_seed, *parts)
-
     def __repr__(self) -> str:
         return f"KeyedStreams(master_seed={self.master_seed})"

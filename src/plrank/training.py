@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,13 +51,29 @@ METRICS_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Shared knob set; the SFT stage ignores the ranking-specific fields."""
+class SftConfig:
+    """Teacher-cloning knobs.
+
+    SFT never trains the head: `lr_head` only sets the head rate of the Adam
+    built for the stage, and no SFT step gives that rate a gradient.
+    """
 
     steps: int = 3000
     batch_size: int = 1
     lr_policy: float = 3e-4
     lr_head: float = 1e-3
+
+    def validate(self) -> None:
+        if self.steps < 0 or self.batch_size < 1:
+            raise ConfigError("need steps >= 0 and batch_size >= 1")
+        if self.lr_policy <= 0 or self.lr_head <= 0:
+            raise ConfigError("learning rates must be positive")
+
+
+@dataclass(frozen=True)
+class TrainConfig(SftConfig):
+    """The reward-driven stage's knobs: the SFT set plus the ranking fields."""
+
     reward_cutoff: int = 10
     epsilon: float = 0.2             # ratio clip width
     inner_epochs: int = 2
@@ -68,10 +84,7 @@ class TrainConfig:
     cot: bool = True                 # False restricts rationales to bare decisions
 
     def validate(self) -> None:
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigError("need steps >= 0 and batch_size >= 1")
-        if self.lr_policy <= 0 or self.lr_head <= 0:
-            raise ConfigError("learning rates must be positive")
+        super().validate()
         if self.reward_cutoff < 1:
             raise ConfigError(f"reward_cutoff must be >= 1, got {self.reward_cutoff}")
         if not 0.0 < self.epsilon < 1.0:
@@ -206,7 +219,7 @@ def sft_train(
     params: dict[str, np.ndarray],
     examples: list[SftExample],
     pcfg: PolicyConfig,
-    tcfg: TrainConfig,
+    tcfg: SftConfig,
     seed: int,
     metrics: MetricsWriter | None = None,
 ) -> list[dict]:
@@ -484,16 +497,7 @@ def rl_train(
         stats.wallclock_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(stats)
         if metrics is not None:
-            metrics.write_row(
-                step=stats.step,
-                stage="rl",
-                mean_reward=stats.mean_reward,
-                ppo_obj=stats.ppo_obj,
-                head_obj=stats.head_obj,
-                grad_norm_theta=stats.grad_norm_theta,
-                grad_norm_phi=stats.grad_norm_phi,
-                wallclock_ms=stats.wallclock_ms,
-            )
+            metrics.write_row(stage="rl", **asdict(stats))
         if step % 100 == 0:
             log.info("rl step %d mean reward %.4f", step, stats.mean_reward)
     return rows

@@ -33,9 +33,7 @@ class WorldConfig:
     zipf_s: float = 1.1             # popularity exponent
     exposure_pool: int = 256        # popularity-sampled exposure pool size per user
     relevance_q: float = 0.10       # top fraction of the pool that counts as relevant
-    relevance_basis: str = "token"  # "token": bucket-center affinity, "latent": raw affinity
     history_geom_p: float = 0.3     # geometric parameter for target history length
-    negative_sampling: str = "popularity"  # or "uniform"
 
     def validate(self) -> None:
         if self.n_users < 1 or self.n_items < 2:
@@ -46,10 +44,6 @@ class WorldConfig:
             raise ConfigError(f"relevance_q must be in (0, 1), got {self.relevance_q}")
         if not 0.0 < self.history_geom_p <= 1.0:
             raise ConfigError(f"history_geom_p must be in (0, 1], got {self.history_geom_p}")
-        if self.negative_sampling not in ("popularity", "uniform"):
-            raise ConfigError(f"unknown negative_sampling {self.negative_sampling!r}")
-        if self.relevance_basis not in ("token", "latent"):
-            raise ConfigError(f"unknown relevance_basis {self.relevance_basis!r}")
         if self.exposure_pool > self.n_items:
             raise ConfigError("exposure_pool cannot exceed n_items")
 
@@ -165,14 +159,10 @@ def split_of_user(seed: int, user_index: int) -> str:
 
 
 def _affinity(world: World, user_index: int, item_indices: np.ndarray) -> np.ndarray:
-    """Per-item affinity on the configured basis, scaled by 1/sqrt(m)."""
+    """Per-item affinity of the bucket centers, scaled by 1/sqrt(m)."""
     cfg = world.cfg
-    if cfg.relevance_basis == "latent":
-        z = world.user_latents[user_index]
-        w = world.item_latents[item_indices]
-    else:
-        z = bucket_centers(bucketize(world.user_latents[user_index], cfg.buckets), cfg.buckets)
-        w = bucket_centers(world.item_buckets[item_indices], cfg.buckets)
+    z = bucket_centers(bucketize(world.user_latents[user_index], cfg.buckets), cfg.buckets)
+    w = bucket_centers(world.item_buckets[item_indices], cfg.buckets)
     return w @ z / np.sqrt(cfg.m)
 
 
@@ -230,8 +220,8 @@ def build_instances(
     """One ranking instance per eligible user of the split.
 
     Each instance: the user's most recent positive held out as the single
-    relevant candidate, K-1 negatives sampled from the non-relevant exposure
-    pool, presentation order shuffled per instance.
+    relevant candidate, K-1 negatives sampled by popularity from the
+    non-relevant exposure pool, presentation order shuffled per instance.
     """
     if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}")
@@ -262,12 +252,10 @@ def build_instances(
         if non_relevant.size < K - 1:
             stats.skipped_few_negatives += 1
             continue
-        neg_stream = streams.stream("negatives", uidx)
-        if cfg.negative_sampling == "popularity":
-            w = world.popularity[non_relevant]
-            negatives = neg_stream.choice(non_relevant, size=K - 1, replace=False, p=w / w.sum())
-        else:
-            negatives = neg_stream.choice(non_relevant, size=K - 1, replace=False)
+        w = world.popularity[non_relevant]
+        negatives = streams.stream("negatives", uidx).choice(
+            non_relevant, size=K - 1, replace=False, p=w / w.sum()
+        )
         slate = np.concatenate(([positive], negatives))
         grades = np.zeros(K, dtype=np.int64)
         grades[0] = 1

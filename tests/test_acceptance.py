@@ -49,6 +49,7 @@ from plrank.rank import (
 from plrank.rng import KeyedStreams, substream
 from plrank.training import (
     Adam,
+    SftConfig,
     TrainConfig,
     clipped_token_objective,
     instance_objectives,
@@ -483,7 +484,7 @@ def test_a06_ablation_ordering():
         seed=101,
         world=ABLATION_WORLD,
         data=dataclasses.replace(RunConfig().data, K=20, L=10),
-        sft=TrainConfig(steps=400, batch_size=8),
+        sft=SftConfig(steps=400, batch_size=8),
         rl=TrainConfig(steps=600, batch_size=1),
     )
     pcfg = policy_config(cfg)

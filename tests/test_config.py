@@ -1,6 +1,7 @@
 """Tests for config parsing, validation, and canonical hashing."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -37,6 +38,17 @@ def test_unknown_keys_are_named():
         run_config_from_dict({"rl": {"temperature": 0.5}})
     with pytest.raises(ConfigError, match="unknown key world.max_grade"):
         run_config_from_dict({"world": {"max_grade": 1}})
+    for key, value in (("epsilon", 0.1), ("cot", False)):
+        with pytest.raises(ConfigError, match=f"unknown key sft.{key}"):
+            run_config_from_dict({"sft": {key: value}})
+    for key, value in (("relevance_basis", "token"), ("negative_sampling", "popularity")):
+        with pytest.raises(ConfigError, match=f"unknown key world.{key}"):
+            run_config_from_dict({"world": {key: value}})
+
+
+def test_section_overrides_start_from_the_desk_section():
+    assert run_config_from_dict({"rl": {"steps": 5}}).rl == dataclasses.replace(RunConfig().rl, steps=5)
+    assert run_config_from_dict({"sft": {"steps": 5}}).sft == dataclasses.replace(RunConfig().sft, steps=5)
 
 
 def test_section_overrides_change_hash():
@@ -53,11 +65,13 @@ def test_bad_values_rejected():
     with pytest.raises(ConfigError):
         run_config_from_dict({"data": {"noise_rate": 1.5}})
     with pytest.raises(ConfigError):
-        run_config_from_dict({"rl": {"baseline": "loo"}})  # needs >= 2 rankings
+        run_config_from_dict({"rl": {"rankings_per_instance": 1}})  # the desk loo baseline needs >= 2
     with pytest.raises(ConfigError):
         run_config_from_dict({"seed": "forty-two"})
     with pytest.raises(ConfigError):
         run_config_from_dict({"model": {"max_len": 128}})  # prefix would not fit
+    with pytest.raises(ConfigError):
+        run_config_from_dict({"data": {"L": 0}, "model": {"max_len": 41}})  # prefix 18 + max_gen 24
 
 
 def test_tuple_fields_accept_lists():
@@ -96,6 +110,8 @@ def test_policy_and_stage_views():
 def test_effective_dict_contains_all_sections():
     full = effective_dict(RunConfig())
     assert set(full) == {"seed", "world", "data", "model", "sft", "rl", "eval"}
+    assert set(full["sft"]) == {"steps", "batch_size", "lr_policy", "lr_head"}
+    assert len(full["world"]) == 8
     assert full["sft"]["steps"] == 2000
     assert full["rl"]["steps"] == 3000
     text = json.dumps(full, sort_keys=True)

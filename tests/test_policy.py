@@ -1,6 +1,8 @@
 """Tests for the rationale policy: serialization, twin forwards, generation."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from plrank.policy import (
     is_head_param,
     lift_params,
     load_checkpoint,
+    prefix_length,
     save_checkpoint,
     score_hidden,
     sequence_log_probs_tape,
@@ -84,7 +87,7 @@ def test_serialize_context_worked_example():
     item = CandidateItem(item_id="c", tokens=(2, 2), train_frequency=0)
     ids = serialize_context(ctx, item, v)
     assert ids.tolist() == [9, 15, 8, 14, 2, 11, 13, 2, 10, 14, 0]
-    # prefix length m*(L+2) + L + 1
+    # prefix length m*(L+2) + L + 1 for L >= 1 (2m + 2 at L = 0, see prefix_length)
     assert ids.size == 2 * (2 + 2) + 2 + 1
 
     empty = UserContext(user_id="u0", profile_tokens=(1, 3), history=())
@@ -93,6 +96,16 @@ def test_serialize_context_worked_example():
 
     with pytest.raises(ContractViolation):
         serialize_context(empty, CandidateItem(item_id="d", tokens=(1,), train_frequency=0), v)
+
+
+def test_prefix_length_matches_serialization():
+    for m in (1, 3, 8):
+        v = Vocab(m=m, buckets=4)
+        item = CandidateItem(item_id="c", tokens=(1,) * m, train_frequency=0)
+        for n in (0, 1, 3, 20):
+            history = tuple(HistoryEvent(item_id=f"h{t}", tokens=(2,) * m, t=t) for t in range(n))
+            ctx = UserContext(user_id="u0", profile_tokens=(3,) * m, history=history)
+            assert prefix_length(m, n) == serialize_context(ctx, item, v).size
 
 
 def test_init_params_shapes_and_partition():
@@ -224,12 +237,12 @@ def test_greedy_decoding_needs_no_rngs():
     params = tiny_params(9)
     v = TINY.vocab()
     prefix = np.array([[v.attr(0, 1), v.SEP, v.attr(1, 1), v.BOS]] * 2)
-    a = generate(params, prefix, None, TINY, v, temperature=0.0)
-    b = generate(params, prefix, None, TINY, v, temperature=0.0)
+    a = generate(params, prefix, None, TINY, v)
+    b = generate(params, prefix, None, TINY, v)
     assert np.array_equal(a[0].tokens, b[0].tokens)
     assert np.array_equal(a[0].tokens, a[1].tokens)  # identical rows decode identically
     with pytest.raises(ContractViolation):
-        generate(params, prefix, None, TINY, v, temperature=1.0)
+        generate(params, prefix, [substream(1, "gen", 0)], TINY, v)  # one rng for two rows
 
 
 def test_recorded_logprobs_match_teacher_forced_reeval():
@@ -474,7 +487,8 @@ def test_generate_matches_per_row_reference():
                 prefix[:, -1] = v.BOS
                 for max_gen in (1, 3, TINY.max_gen):
                     rngs = lambda: [substream(seed, "ref", i) for i in range(8)]
-                    got = generate(params, prefix, rngs(), TINY, v, cot, temperature, max_gen)
+                    cfg = dataclasses.replace(TINY, max_gen=max_gen)
+                    got = generate(params, prefix, rngs() if temperature else None, cfg, v, cot)
                     mode = "cot" if cot else "decision_only"
                     want = _reference_generate(params, prefix, rngs(), TINY, v, mode, temperature, max_gen)
                     for g, w in zip(got, want):

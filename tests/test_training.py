@@ -22,6 +22,7 @@ from plrank.training import (
     METRICS_COLUMNS,
     MetricsWriter,
     RankingInstance,
+    SftConfig,
     TrainConfig,
     instance_objectives,
     lift_params,
@@ -124,7 +125,7 @@ def test_sft_training_reduces_loss():
         serialize_fn=lambda c, i: serialize_context(c, i, vocab),
     )
     params = fresh_params()
-    tcfg = TrainConfig(steps=250, batch_size=8, lr_policy=1e-3)
+    tcfg = SftConfig(steps=250, batch_size=8, lr_policy=1e-3)
     rows = sft_train(params, examples, PCFG, tcfg, seed=11)
     first = -rows[0]["ppo_obj"]
     last_losses = [-r["ppo_obj"] for r in rows[-10:]]

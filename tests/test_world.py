@@ -156,19 +156,6 @@ def test_build_rejects_bad_arguments():
         build_instances(world, "test", K=8, L=-1)
 
 
-def test_relevance_basis_changes_ground_truth():
-    token_world = small_world(relevance_basis="token")
-    latent_world = small_world(relevance_basis="latent")
-    differs = False
-    for uidx in range(20):
-        t = user_events(token_world, uidx)
-        l = user_events(latent_world, uidx)
-        assert np.array_equal(t.pool, l.pool)  # exposure does not depend on the basis
-        if sorted(t.relevant.tolist()) != sorted(l.relevant.tolist()):
-            differs = True
-    assert differs
-
-
 def test_positive_affinity_dominates_negatives():
     world = small_world()
     instances, _ = build_instances(world, "test", K=8)
