@@ -17,6 +17,7 @@ import os
 import sys
 from pathlib import Path
 
+from .atomic import atomic_write
 from .config import (
     RunConfig,
     config_hash,
@@ -174,12 +175,10 @@ def cmd_train(args) -> int:
             params, _, _ = load_checkpoint(args.init)
         else:
             params = init_params(pcfg, substream(cfg.seed, "init", "policy"))
-        metrics = MetricsWriter(out / "metrics_sft.csv")
-        try:
-            rows = sft_train(params, examples, pcfg, tcfg, seed=cfg.seed, metrics=metrics)
-        finally:
-            metrics.close()
-        save_checkpoint(out / "sft_model.bin", params, h, cfg.seed)
+        # the metrics file is replaced only once the checkpoint is written
+        with atomic_write(out / "metrics_sft.csv", "w", encoding="utf-8", newline="") as fh:
+            rows = sft_train(params, examples, pcfg, tcfg, seed=cfg.seed, metrics=MetricsWriter(fh))
+            save_checkpoint(out / "sft_model.bin", params, h, cfg.seed)
         final = -rows[-1]["ppo_obj"] if rows else float("nan")
         print(f"train sft: {len(rows)} steps, final nll {final:.4f}")
         return 0
@@ -188,12 +187,9 @@ def cmd_train(args) -> int:
     if not Path(init_path).exists():
         raise DataFormatError(f"missing init checkpoint {init_path}; train the sft stage first")
     params, _, _ = load_checkpoint(init_path)
-    metrics = MetricsWriter(out / "metrics_rl.csv")
-    try:
-        rows = rl_train(params, instances, pcfg, tcfg, seed=cfg.seed, metrics=metrics)
-    finally:
-        metrics.close()
-    save_checkpoint(out / "rl_model.bin", params, h, cfg.seed)
+    with atomic_write(out / "metrics_rl.csv", "w", encoding="utf-8", newline="") as fh:
+        rows = rl_train(params, instances, pcfg, tcfg, seed=cfg.seed, metrics=MetricsWriter(fh))
+        save_checkpoint(out / "rl_model.bin", params, h, cfg.seed)
     final = rows[-1].mean_reward if rows else float("nan")
     print(f"train rl: {len(rows)} steps, final mean reward {final:.4f}")
     return 0
@@ -370,12 +366,19 @@ def cmd_verify(args) -> int:
                         )
                 checked += 1
 
-    for name in ("summary.json", "probe_summary.json"):
+    data_files = [_instances_path(out, split).name for split in SPLITS] + ["sft.jsonl"]
+    for name in ("summary.json", "probe_summary.json", *data_files):
         path = out / name
         if not path.exists():
             continue
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            # a data file's header is its first line
+            text = fh.readline() if name.endswith(".jsonl") else fh.read()
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError:
+            problems.append(f"{name}: header is not JSON")
+            continue
         if payload.get("config_hash") != expected:
             problems.append(f"{name}: embedded config_hash mismatch")
         if payload.get("seed") != cfg.seed:

@@ -231,33 +231,38 @@ def gather_positions_tape(x: Tensor, rows: np.ndarray, positions: np.ndarray) ->
     return ad.index_select(flat, rows * t + positions)
 
 
+def pack_rows(prefixes, continuations, eos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Teacher-forced layout of ragged prefix + continuation rows.
+
+    Returns ids (B, T), each row's prefix then its continuation, padded with
+    `eos` to the longest row, plus rows and positions (N,) over the N
+    continuation tokens in row order: token j is ids[rows[j], positions[j] + 1]
+    and is predicted from the hidden state at (rows[j], positions[j]).
+    """
+    p = np.array([len(x) for x in prefixes], dtype=np.int64)
+    c = np.array([len(x) for x in continuations], dtype=np.int64)
+    ids = np.full((p.size, int((p + c).max())), eos, dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < (p + c)[:, None]] = np.concatenate(
+        [x for pair in zip(prefixes, continuations) for x in pair]
+    )
+    rows = np.repeat(np.arange(p.size), c)
+    positions = np.arange(rows.size) + np.repeat(p - 1 - (np.cumsum(c) - c), c)
+    return ids, rows, positions
+
+
 def sequence_log_probs_tape(
     pt: dict[str, Tensor],
+    hidden: Tensor,
     ids: np.ndarray,
-    prefix_len: int,
-    gen_len: int,
-    cfg: PolicyConfig,
-    hidden: Tensor | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Teacher-forced log-probs of the generated span.
-
-    Returns (log_probs (B, gen_len), hidden (B, T, d)). Positions past a
-    row's actual generation are garbage and must be masked by the caller.
-    """
-    if hidden is None:
-        hidden = forward_hidden_tape(pt, ids, cfg)
-    b = ids.shape[0]
-    v = cfg.vocab().size
-    rows = np.repeat(np.arange(b), gen_len)
-    pred_pos = np.tile(np.arange(prefix_len - 1, prefix_len - 1 + gen_len), b)
-    picked = gather_positions_tape(hidden, rows, pred_pos)  # (B*gen_len, d)
-    logits = ad.linear(picked, pt["out.w"], pt["out.b"])
-    log_probs = ad.log_softmax(logits, axis=-1)
-    targets = ids[rows, pred_pos + 1]
-    onehot = np.zeros((b * gen_len, v))
-    onehot[np.arange(b * gen_len), targets] = 1.0
-    lp = ad.asum(ad.mul(log_probs, log_probs.tape.constant(onehot)), axis=-1)
-    return ad.reshape(lp, (b, gen_len)), hidden
+    rows: np.ndarray,
+    positions: np.ndarray,
+) -> Tensor:
+    """Log-probs (N,) of the tokens ids[rows, positions + 1], teacher-forced."""
+    picked = gather_positions_tape(hidden, rows, positions)
+    log_probs = ad.log_softmax(ad.linear(picked, pt["out.w"], pt["out.b"]), axis=-1)
+    n, v = log_probs.shape
+    flat = ad.reshape(log_probs, (n * v,))
+    return ad.index_select(flat, np.arange(n) * v + ids[rows, positions + 1])
 
 
 def head_score_tape(pt: dict[str, Tensor], hidden_vecs: Tensor) -> Tensor:

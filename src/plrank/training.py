@@ -30,6 +30,7 @@ from .policy import (
     head_score_tape,
     is_head_param,
     lift_params,
+    pack_rows,
     sequence_log_probs_tape,
 )
 from .rank import batched_ndcg, pl_log_probs_and_grads, pl_sample_many
@@ -80,7 +81,6 @@ class TrainConfig(SftConfig):
     rankings_per_instance: int = 1
     baseline: str = "none"           # or "loo" over sampled rankings
     joint: bool = True               # False freezes the policy during stage two
-    head_grads_into_policy: bool = True
     cot: bool = True                 # False restricts rationales to bare decisions
 
     def validate(self) -> None:
@@ -131,11 +131,10 @@ class Adam:
 
 
 class MetricsWriter:
-    """Append-only CSV log; floats are written at full precision."""
+    """CSV log over an open text file; floats are written at full precision."""
 
-    def __init__(self, path):
-        self._fh = open(path, "w", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._fh)
+    def __init__(self, fh):
+        self._writer = csv.writer(fh)
         self._writer.writerow(METRICS_COLUMNS)
 
     def write_row(self, **fields) -> None:
@@ -146,10 +145,6 @@ class MetricsWriter:
                 value = repr(value)
             row.append(value)
         self._writer.writerow(row)
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
 
 
 def named_grads(pt: dict[str, Tensor], grads_by_node: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
@@ -185,30 +180,14 @@ def sft_batch_loss(
     """Mean per-token NLL of the teacher targets, plus policy gradients."""
     if not batch:
         raise ContractViolation("sft batch is empty")
-    vocab = pcfg.vocab()
-    widths = [ex.prefix.size + ex.target.size for ex in batch]
-    t_max = max(widths)
-    ids = np.full((len(batch), t_max), vocab.EOS, dtype=np.int64)
-    rows, positions, targets = [], [], []
-    for i, ex in enumerate(batch):
-        seq = np.concatenate([ex.prefix.astype(np.int64), ex.target.astype(np.int64)])
-        ids[i, : seq.size] = seq
-        p = ex.prefix.size
-        rows.append(np.full(ex.target.size, i))
-        positions.append(np.arange(p - 1, p - 1 + ex.target.size))
-        targets.append(ex.target.astype(np.int64))
-    rows = np.concatenate(rows)
-    positions = np.concatenate(positions)
-    targets = np.concatenate(targets)
+    ids, rows, positions = pack_rows(
+        [ex.prefix for ex in batch], [ex.target for ex in batch], pcfg.vocab().EOS
+    )
     tape = Tape()
     pt = lift_params(tape, params, train_policy=train, train_head=False)
     hidden = forward_hidden_tape(pt, ids, pcfg)
-    picked = gather_positions_tape(hidden, rows, positions)
-    lp = ad.log_softmax(ad.linear(picked, pt["out.w"], pt["out.b"]), axis=-1)
-    onehot = np.zeros((targets.size, vocab.size))
-    onehot[np.arange(targets.size), targets] = 1.0
-    picked_lp = ad.asum(ad.mul(lp, tape.constant(onehot)))
-    loss = ad.scale(picked_lp, -1.0 / targets.size)
+    lp = sequence_log_probs_tape(pt, hidden, ids, rows, positions)
+    loss = ad.scale(ad.asum(lp), -1.0 / rows.size)
     if not train:
         return float(loss.data), {}
     grads = named_grads(pt, tape.backward(loss))
@@ -284,9 +263,9 @@ class RolloutRecord:
     instance: RankingInstance
     ids: np.ndarray            # (K, P+G) prefix + generated tokens, EOS padded
     prefix_len: int
-    gen_len: int
-    gen_mask: np.ndarray       # (K, G) 1.0 where a token was really generated
-    logprobs_old: np.ndarray   # (K, G) sampling-time log-probs, zero padded
+    rows: np.ndarray           # (N,) row of each generated token, see pack_rows
+    positions: np.ndarray      # (N,) position each generated token is predicted from
+    logprobs_old: np.ndarray   # (N,) sampling-time log-probs
     final_positions: np.ndarray  # (K,) position of each row's last generated token
     row_of_slot: np.ndarray    # (K,) canonical row index per presentation slot
     rationales: list[Rationale]  # canonical row order
@@ -313,15 +292,8 @@ def rollout(
         params, instance.ctx, instance.candidates, pcfg, vocab, tcfg.cot,
         rng_of=lambda item_id: streams.stream("rollout", step, instance.instance_id, item_id),
     )
-    k, p = prefix.shape
-    lengths = np.array([r.tokens.size for r in rats])
-    g = int(lengths.max())
-    generated = np.arange(g) < lengths[:, None]
-    ids = np.full((k, p + g), vocab.EOS, dtype=np.int64)
-    ids[:, :p] = prefix
-    ids[:, p:][generated] = np.concatenate([r.tokens for r in rats])
-    logprobs_old = np.zeros((k, g))
-    logprobs_old[generated] = np.concatenate([r.token_logprobs for r in rats])
+    ids, rows, positions = pack_rows(prefix, [r.tokens for r in rats], vocab.EOS)
+    p = prefix.shape[1]
     rank_rng = streams.stream("ranking", step, instance.instance_id)
     rankings = pl_sample_many(scores, tcfg.rankings_per_instance, rank_rng)
     rewards = batched_ndcg(rankings, instance.relevance, tcfg.reward_cutoff)
@@ -329,10 +301,10 @@ def rollout(
         instance=instance,
         ids=ids,
         prefix_len=p,
-        gen_len=g,
-        gen_mask=generated.astype(np.float64),
-        logprobs_old=logprobs_old,
-        final_positions=p + lengths - 1,
+        rows=rows,
+        positions=positions,
+        logprobs_old=np.concatenate([r.token_logprobs for r in rats]),
+        final_positions=p + np.array([r.tokens.size for r in rats]) - 1,
         row_of_slot=row_of_slot,
         rationales=rats,
         scores=scores,
@@ -392,18 +364,14 @@ def instance_objectives(
     ppo_obj: Tensor | None = None
     advantage = float(record.rewards.mean())
     if tcfg.joint:
-        lp_live, _ = sequence_log_probs_tape(
-            pt, record.ids, record.prefix_len, record.gen_len, pcfg, hidden=hidden
-        )
+        lp_live = sequence_log_probs_tape(pt, hidden, record.ids, record.rows, record.positions)
         ratio = ad.exp(ad.add(lp_live, tape.constant(-record.logprobs_old)))
         unclipped = ad.scale(ratio, advantage)
         clipped = ad.scale(ad.clip(ratio, 1.0 - tcfg.epsilon, 1.0 + tcfg.epsilon), advantage)
-        per_token = ad.mul(ad.minimum(unclipped, clipped), tape.constant(record.gen_mask))
-        total_tokens = float(record.gen_mask.sum())
-        ppo_obj = ad.scale(ad.asum(per_token), 1.0 / total_tokens)
+        ppo_obj = ad.mean(ad.minimum(unclipped, clipped))
 
     finals = gather_positions_tape(hidden, np.arange(k), record.final_positions)
-    if not (tcfg.joint and tcfg.head_grads_into_policy):
+    if not tcfg.joint:
         finals = tape.constant(finals.data)  # sever the path into the trunk
     scores_rows = head_score_tape(pt, finals)
     scores_pres = ad.index_select(scores_rows, record.row_of_slot)

@@ -29,6 +29,7 @@ from plrank.evaluation import (
 )
 from plrank.policy import (
     PolicyConfig,
+    forward_hidden_tape,
     gather_positions_tape,
     head_score_tape,
     init_params,
@@ -243,18 +244,20 @@ def test_a02_gradient_fidelity():
     rng = substream(5, "fd")
     prefix_len, gen_len, batch = 5, 3, 2
     ids = rng.integers(0, v.size, size=(batch, prefix_len + gen_len))
-    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    # all three generated tokens of row 0, the first two of row 1
+    rows = np.array([0, 0, 0, 1, 1])
+    positions = np.array([4, 5, 6, 4, 5])
     finals = np.array([prefix_len + 2, prefix_len + 1])
     weights = np.array([0.7, -0.3])
 
     def model_loss(*leaves):
         pt = dict(zip(names, leaves))
-        lp, hidden = sequence_log_probs_tape(pt, ids, prefix_len, gen_len, tiny)
-        masked = ad.mul(lp, lp.tape.constant(mask))
+        hidden = forward_hidden_tape(pt, ids, tiny)
+        lp = sequence_log_probs_tape(pt, hidden, ids, rows, positions)
         picked = gather_positions_tape(hidden, np.arange(batch), finals)
         scores = head_score_tape(pt, picked)
         weighted = ad.mul(scores, scores.tape.constant(weights))
-        return ad.add(ad.asum(masked), ad.asum(weighted))
+        return ad.add(ad.asum(lp), ad.asum(weighted))
 
     worst = max(worst, fd_check(model_loss, [params[name] for name in names]))
     assert worst < 1e-4, worst
@@ -361,17 +364,15 @@ def test_a04_clipped_update_contract():
     params = init_params(pcfg, substream(11, "init", "policy"))
     tcfg = TrainConfig(steps=1, reward_cutoff=3)
     record = rollout(params, instances[0], pcfg, tcfg, pcfg.vocab(), KeyedStreams(11), 0)
-    lp_now = np.stack(
+    lp_now = np.concatenate(
         [
-            token_log_probs(
-                params, record.ids[k, : record.prefix_len], record.ids[k, record.prefix_len :], pcfg
-            )
-            for k in range(record.ids.shape[0])
+            token_log_probs(params, record.ids[k, : record.prefix_len], r.tokens, pcfg)
+            for k, r in enumerate(record.rationales)
         ]
     )
-    dev = float(np.max(np.abs((lp_now - record.logprobs_old) * record.gen_mask)))
+    dev = float(np.max(np.abs(lp_now - record.logprobs_old)))
     assert dev <= 1e-10, dev
-    ratio_dev = float(np.max(np.abs(np.exp((lp_now - record.logprobs_old) * record.gen_mask) - 1.0)))
+    ratio_dev = float(np.max(np.abs(np.exp(lp_now - record.logprobs_old) - 1.0)))
     assert ratio_dev <= 1e-10, ratio_dev
 
     # and therefore the first inner epoch's objective equals the raw advantage

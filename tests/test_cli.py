@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import plrank.training
 from plrank.cli import main
 
 TINY_CONFIG = {
@@ -147,3 +148,46 @@ def test_verify_detects_seed_mismatch(workdir, capsys):
     ) == 2
     err = capsys.readouterr().err
     assert "config_hash" in err or "seed" in err
+
+
+def test_verify_detects_rewritten_data_header(workdir, capsys):
+    cfg_path, out = workdir
+    run(cfg_path, out, "gen-data")
+    run(cfg_path, out, "build-sft")
+    assert run(cfg_path, out, "verify") == 0
+    for name in ("instances_valid.jsonl", "sft.jsonl"):
+        path = out / name
+        original = path.read_text()
+        first, rest = original.split("\n", 1)
+        header = json.loads(first)
+        header["seed"] += 1
+        path.write_text(json.dumps(header, sort_keys=True) + "\n" + rest)
+        capsys.readouterr()
+        assert run(cfg_path, out, "verify") == 2
+        assert f"{name}: embedded seed mismatch" in capsys.readouterr().err
+        path.write_text(original)
+
+
+def test_interrupted_train_keeps_previous_metrics(workdir, monkeypatch):
+    cfg_path, out = workdir
+    run(cfg_path, out, "gen-data")
+    run(cfg_path, out, "build-sft")
+    assert run(cfg_path, out, "train", "--stage", "sft") == 0
+    metrics = (out / "metrics_sft.csv").read_bytes()
+    checkpoint = (out / "sft_model.bin").read_bytes()
+    loss_fn = plrank.training.sft_batch_loss
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 10:
+            raise KeyboardInterrupt
+        return loss_fn(*args, **kwargs)
+
+    monkeypatch.setattr(plrank.training, "sft_batch_loss", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(cfg_path, out, "train", "--stage", "sft")
+    assert len(calls) == 10
+    assert (out / "metrics_sft.csv").read_bytes() == metrics
+    assert (out / "sft_model.bin").read_bytes() == checkpoint
+    assert not list(out.glob("*.tmp"))

@@ -26,6 +26,7 @@ from plrank.policy import (
     is_head_param,
     lift_params,
     load_checkpoint,
+    pack_rows,
     prefix_length,
     save_checkpoint,
     score_hidden,
@@ -264,23 +265,27 @@ def test_tape_sequence_log_probs_match_recorded():
     prefix = np.tile(prefix_row, (4, 1))
     rngs = [substream(55, "gen", i) for i in range(4)]
     outs = generate(params, prefix, rngs, TINY, v, cot=True)
-    gen_len = max(len(r.tokens) for r in outs)
-    ids = np.full((4, prefix.shape[1] + gen_len), v.EOS, dtype=np.int64)
-    ids[:, : prefix.shape[1]] = prefix
-    for i, r in enumerate(outs):
-        ids[i, prefix.shape[1] : prefix.shape[1] + len(r.tokens)] = r.tokens
+    ids, rows, positions = pack_rows(prefix, [r.tokens for r in outs], v.EOS)
     tape = Tape()
     pt = lift_params(tape, params)
-    lp, hidden = sequence_log_probs_tape(pt, ids, prefix.shape[1], gen_len, TINY)
-    assert lp.shape == (4, gen_len)
-    for i, r in enumerate(outs):
-        assert np.max(np.abs(lp.data[i, : len(r.tokens)] - r.token_logprobs)) < 1e-10
+    hidden = forward_hidden_tape(pt, ids, TINY)
+    lp = sequence_log_probs_tape(pt, hidden, ids, rows, positions)
+    recorded = np.concatenate([r.token_logprobs for r in outs])
+    assert lp.shape == recorded.shape
+    assert np.max(np.abs(lp.data - recorded)) < 1e-10
     # final hidden rows gathered off the same tape match the sampler's record
-    rows = np.arange(4)
     finals = prefix.shape[1] + np.array([len(r.tokens) for r in outs]) - 1
-    picked = gather_positions_tape(hidden, rows, finals)
+    picked = gather_positions_tape(hidden, np.arange(4), finals)
     sampled = np.stack([r.final_hidden for r in outs])
     assert np.max(np.abs(picked.data - sampled)) < 1e-10
+
+
+def test_pack_rows_layout():
+    ids, rows, positions = pack_rows([[5, 6, 0], [7, 0], [8, 9, 9, 0]], [[3, 1], [4, 4, 1], [1]], 1)
+    assert ids.tolist() == [[5, 6, 0, 3, 1], [7, 0, 4, 4, 1], [8, 9, 9, 0, 1]]
+    assert rows.tolist() == [0, 0, 1, 1, 1, 2]
+    assert positions.tolist() == [2, 3, 1, 2, 3, 3]
+    assert ids[rows, positions + 1].tolist() == [3, 1, 4, 4, 1, 1]
 
 
 def test_head_score_paths_agree():
@@ -312,18 +317,20 @@ def test_gradients_match_finite_differences():
     rng = substream(5, "fd")
     prefix_len, gen_len, batch = 5, 3, 2
     ids = rng.integers(0, v.size, size=(batch, prefix_len + gen_len))
-    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    # all three generated tokens of row 0, the first two of row 1
+    rows = np.array([0, 0, 0, 1, 1])
+    positions = np.array([4, 5, 6, 4, 5])
     finals = np.array([prefix_len + 2, prefix_len + 1])
     weights = np.array([0.7, -0.3])
 
     def loss_fn(*leaves):
         pt = dict(zip(names, leaves))
-        lp, hidden = sequence_log_probs_tape(pt, ids, prefix_len, gen_len, TINY)
-        masked = ad.mul(lp, lp.tape.constant(mask))
+        hidden = forward_hidden_tape(pt, ids, TINY)
+        lp = sequence_log_probs_tape(pt, hidden, ids, rows, positions)
         picked = gather_positions_tape(hidden, np.arange(batch), finals)
         scores = head_score_tape(pt, picked)
         weighted = ad.mul(scores, scores.tape.constant(weights))
-        return ad.add(ad.asum(masked), ad.asum(weighted))
+        return ad.add(ad.asum(lp), ad.asum(weighted))
 
     worst = fd_check(loss_fn, [params[n] for n in names])
     assert worst < 1e-4
@@ -333,8 +340,8 @@ def test_policy_only_grads_leave_head_unkeyed():
     params = tiny_params(14)
     tape = Tape()
     pt = lift_params(tape, params, train_policy=True, train_head=False)
-    ids = np.array([[8, 9, 2, 10, 0, 6, 1]])
-    lp, _ = sequence_log_probs_tape(pt, ids, 5, 2, TINY)
+    ids, rows, positions = pack_rows([[8, 9, 2, 10, 0]], [[6, 1]], TINY.vocab().EOS)
+    lp = sequence_log_probs_tape(pt, forward_hidden_tape(pt, ids, TINY), ids, rows, positions)
     grads = tape.backward(ad.asum(lp))
     got = {pid for pid in grads}
     for name in params:
