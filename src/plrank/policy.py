@@ -5,14 +5,15 @@ attribute tokens), contexts are serialized as attribute token runs, and the
 scoring head maps the final generated token's last-layer hidden state to a raw
 ranking score. Each layer's math is written once, in the fused autodiff ops
 `linear` and `causal_attention`. Training runs them on the tape; sampling
-calls their plain-numpy forwards, either over a whole prefix or one token at
-a time against cached keys and values. A teacher-forced re-evaluation test
-pins the two paths together.
+calls their plain-numpy forwards, either over a prefix (the columns a batch's
+rows share once, then each row's rest) or one token at a time against cached
+keys and values. A teacher-forced re-evaluation test pins the two paths
+together.
 """
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ class Vocab:
         self.m = m
         self.buckets = buckets
         self.size = self._BASE + m * buckets
+        self._offsets = self._BASE + buckets * np.arange(m)
 
     def attr(self, dim: int, bucket: int) -> int:
         if not 0 <= dim < self.m:
@@ -61,6 +63,14 @@ class Vocab:
         if not 0 <= bucket < self.buckets:
             raise ContractViolation(f"bucket {bucket} out of range [0, {self.buckets})")
         return self._BASE + dim * self.buckets + bucket
+
+    def attrs(self, runs: Sequence[Sequence[int]]) -> np.ndarray:
+        """`attr(d, b)` over an (N, m) array of buckets, dimension d by column."""
+        buckets = np.asarray(runs, dtype=np.int64)
+        if buckets.min() < 0 or buckets.max() >= self.buckets:
+            bad = buckets[(buckets < 0) | (buckets >= self.buckets)][0]
+            raise ContractViolation(f"bucket {bad} out of range [0, {self.buckets})")
+        return self._offsets + buckets
 
     def attr_parts(self, token: int) -> tuple[int, int] | None:
         if token < self._BASE or token >= self.size:
@@ -119,23 +129,33 @@ class PolicyConfig(ModelConfig):
         return Vocab(self.m, self.buckets)
 
 
-def serialize_context(ctx: UserContext, item: CandidateItem, vocab: Vocab) -> np.ndarray:
-    """[profile attrs] [history attrs, SEP between events] SEP [candidate attrs] BOS."""
-    if len(ctx.profile_tokens) != vocab.m or len(item.tokens) != vocab.m:
-        raise ContractViolation(
-            f"profile/candidate need exactly m={vocab.m} attribute tokens"
-        )
-    out: list[int] = [vocab.attr(d, b) for d, b in enumerate(ctx.profile_tokens)]
+def serialize_user(ctx: UserContext, vocab: Vocab) -> np.ndarray:
+    """[profile attrs] [history attrs, SEP between events] SEP: how every row of a slate starts."""
+    if len(ctx.profile_tokens) != vocab.m:
+        raise ContractViolation(f"profile needs exactly m={vocab.m} attribute tokens")
     for i, ev in enumerate(ctx.history):
         if len(ev.tokens) != vocab.m:
             raise ContractViolation(f"history event {i} needs m={vocab.m} attribute tokens")
-        if i > 0:
-            out.append(vocab.SEP)
-        out.extend(vocab.attr(d, b) for d, b in enumerate(ev.tokens))
-    out.append(vocab.SEP)
-    out.extend(vocab.attr(d, b) for d, b in enumerate(item.tokens))
-    out.append(vocab.BOS)
-    return np.asarray(out, dtype=np.int64)
+    runs = np.full((len(ctx.history) + 1, vocab.m + 1), vocab.SEP, dtype=np.int64)
+    runs[:, :-1] = vocab.attrs([ctx.profile_tokens, *(ev.tokens for ev in ctx.history)])
+    runs = runs.ravel()
+    # Every run of m attributes ends in SEP, but the profile's only when no event follows it.
+    return np.concatenate([runs[: vocab.m], runs[vocab.m + 1 :]]) if ctx.history else runs
+
+
+def serialize_candidates(items: Sequence[CandidateItem], vocab: Vocab) -> np.ndarray:
+    """(K, m + 1): each candidate's attrs then BOS, how its row ends."""
+    for item in items:
+        if len(item.tokens) != vocab.m:
+            raise ContractViolation(f"candidate needs exactly m={vocab.m} attribute tokens")
+    out = np.full((len(items), vocab.m + 1), vocab.BOS, dtype=np.int64)
+    out[:, :-1] = vocab.attrs([item.tokens for item in items])
+    return out
+
+
+def serialize_context(ctx: UserContext, item: CandidateItem, vocab: Vocab) -> np.ndarray:
+    """[profile attrs] [history attrs, SEP between events] SEP [candidate attrs] BOS."""
+    return np.concatenate([serialize_user(ctx, vocab), serialize_candidates((item,), vocab)[0]])
 
 
 def prefix_length(m: int, history_len: int) -> int:
@@ -319,18 +339,23 @@ def _np_layers(params, x: np.ndarray, cfg: PolicyConfig, state: DecodeState | No
     return x
 
 
-def _np_forward(params, ids: np.ndarray, cfg: PolicyConfig, state: DecodeState | None = None):
-    """Full-sequence numpy forward (prefill); optionally records attention state.
+def _np_forward(
+    params, ids: np.ndarray, cfg: PolicyConfig, state: DecodeState | None = None, start: int = 0
+):
+    """Numpy forward (prefill) of ids (B, T) at positions start..start+T-1.
 
-    Returns last-layer hidden states (B, T, d).
+    With `start` > 0 the state must already hold positions 0..start-1, and
+    the ids attend to them. Returns last-layer hidden states (B, T, d).
     """
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     t = ids.shape[1]
-    if t > cfg.max_len:
-        raise ContractViolation(f"sequence length {t} exceeds max_len {cfg.max_len}")
-    x = _np_layers(params, params["emb"][ids] + params["pos"][:t], cfg, state, 0)
+    if start + t > cfg.max_len:
+        raise ContractViolation(f"sequence length {start + t} exceeds max_len {cfg.max_len}")
+    if start and (state is None or state.length != start):
+        raise ContractViolation(f"prefill from position {start} needs a state holding 0..{start - 1}")
+    x = _np_layers(params, params["emb"][ids] + params["pos"][start : start + t], cfg, state, start)
     if state is not None:
-        state.length = t
+        state.length = start + t
     return x
 
 
@@ -372,11 +397,14 @@ def generate(
 ) -> list[Rationale]:
     """Decode one rationale per prefix row, for at most `cfg.max_gen` tokens.
 
-    `prefix` is (B, T_p) with a shared prefix length; `rngs` is one Generator
-    per row to sample at temperature 1, or None to decode by argmax.
-    Without `cot` a row may write one decision token, then only EOS.
-    Recorded token log-probs are the temperature-1 policy's, which is what
-    PPO ratios and teacher-forced re-evaluation use.
+    `prefix` is (B, T_p); `rngs` is one Generator per row to sample at
+    temperature 1, or None to decode by argmax. The S leading columns on
+    which all B > 1 rows agree (S < T_p) are prefilled once, at batch 1,
+    and their keys and values copied to every row; then only the (B, T_p - S)
+    remainder is prefilled. A slate's rows share the user's profile and
+    history this way. Without `cot` a row may write one decision token, then
+    only EOS. Recorded token log-probs are the temperature-1 policy's, which
+    is what PPO ratios and teacher-forced re-evaluation use.
     """
     prefix = np.atleast_2d(np.asarray(prefix, dtype=np.int64))
     b, t_p = prefix.shape
@@ -387,7 +415,15 @@ def generate(
     if rngs is not None and len(rngs) != b:
         raise ContractViolation(f"need one rng per row, got {len(rngs)} for {b} rows")
     state = DecodeState(cfg, b)
-    hidden = _np_forward(params, prefix, cfg, state=state)[:, -1, :]
+    agree = (prefix == prefix[0]).all(axis=0)[:-1]
+    s = int(np.logical_and.accumulate(agree).sum()) if b > 1 else 0
+    if s:
+        shared = DecodeState(cfg, 1)
+        _np_forward(params, prefix[:1, :s], cfg, shared)
+        for cache, part in zip(state.keys + state.values, shared.keys + shared.values):
+            cache[:, :, :s] = part[:, :, :s]
+        state.length = s
+    hidden = _np_forward(params, prefix[:, s:], cfg, state, s)[:, -1, :]
     tokens = np.full((b, cfg.max_gen), vocab.EOS, dtype=np.int64)
     logprobs = np.zeros((b, cfg.max_gen))
     lengths = np.zeros(b, dtype=np.int64)
@@ -451,7 +487,9 @@ def decode_slate(
     canon = sorted(range(k), key=lambda s: candidates[s].item_id)
     row_of_slot = np.empty(k, dtype=np.int64)
     row_of_slot[canon] = np.arange(k)
-    prefix = np.stack([serialize_context(ctx, candidates[s], vocab) for s in canon])
+    user = serialize_user(ctx, vocab)
+    items = serialize_candidates([candidates[s] for s in canon], vocab)
+    prefix = np.hstack([np.broadcast_to(user, (k, user.size)), items])
     rngs = None if rng_of is None else [rng_of(candidates[s].item_id) for s in canon]
     rats = generate(params, prefix, rngs, cfg, vocab, cot=cot)
     scores = score_hidden(params, np.stack([r.final_hidden for r in rats]))[row_of_slot]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import plrank.autodiff as ad
+import plrank.policy as policy
 from plrank.autodiff import NEG_MASK, Tape, fd_check, linear_forward
 from plrank.errors import ConfigError, ContractViolation, DataFormatError
 from plrank.policy import (
@@ -18,6 +19,7 @@ from plrank.policy import (
     _np_forward,
     _np_log_softmax,
     clone_params,
+    decode_slate,
     forward_hidden_tape,
     gather_positions_tape,
     generate,
@@ -107,6 +109,30 @@ def test_prefix_length_matches_serialization():
             history = tuple(HistoryEvent(item_id=f"h{t}", tokens=(2,) * m, t=t) for t in range(n))
             ctx = UserContext(user_id="u0", profile_tokens=(3,) * m, history=history)
             assert prefix_length(m, n) == serialize_context(ctx, item, v).size
+
+
+def test_decode_slate_prefix_is_per_row_serialization():
+    v = TINY.vocab()
+    params = tiny_params(18)
+    rng = substream(8, "slate")
+    for n in (0, 1, 3):
+        history = tuple(
+            HistoryEvent(item_id=f"h{t}", tokens=tuple(rng.integers(0, v.buckets, size=v.m)), t=t)
+            for t in range(n)
+        )
+        ctx = UserContext(user_id="u0", profile_tokens=tuple(rng.integers(0, v.buckets, size=v.m)), history=history)
+        candidates = tuple(
+            CandidateItem(item_id=f"c{j}", tokens=tuple(rng.integers(0, v.buckets, size=v.m)), train_frequency=0)
+            for j in rng.permutation(5)
+        )
+        prefix = decode_slate(params, ctx, candidates, TINY, v, cot=True)[0]
+        rows = sorted(candidates, key=lambda c: c.item_id)
+        want = np.stack([serialize_context(ctx, c, v) for c in rows])
+        assert prefix.dtype == want.dtype and np.array_equal(prefix, want)
+    with pytest.raises(ContractViolation):
+        decode_slate(params, ctx, candidates + (CandidateItem("x", (0,), 0),), TINY, v, cot=True)
+    with pytest.raises(ContractViolation):
+        serialize_context(UserContext("u0", (0, 3), ()), candidates[0], v)  # bucket 3 of 3
 
 
 def test_init_params_shapes_and_partition():
@@ -509,3 +535,105 @@ def test_generate_matches_per_row_reference():
                         else:
                             stopped.add(len(g.tokens))
             assert len(stopped) >= 2 and cut > 0  # rows end at different steps and at max_gen
+
+
+def _prefill_calls(monkeypatch):
+    """Record (ids shape, start) of every `_np_forward` call that `generate` makes."""
+    calls, inner = [], policy._np_forward
+
+    def recording(params, ids, cfg, state=None, start=0):
+        calls.append((np.shape(ids), start))
+        return inner(params, ids, cfg, state, start)
+
+    monkeypatch.setattr(policy, "_np_forward", recording)
+    return calls
+
+
+def _assert_matches_unshared(params, prefix, seed, exact):
+    """`generate` against `_reference_generate`, which prefills every row in full.
+
+    With `exact` the reference decodes the same batch and must agree bit for
+    bit; otherwise it decodes each row alone, at batch 1, and log-probs and
+    final hidden states must agree within 1e-12.
+    """
+    v = TINY.vocab()
+    lengths = set()
+    for cot in (True, False):
+        mode = "cot" if cot else "decision_only"
+        for sample in (False, True):
+            rngs = lambda rows: [substream(seed, "shared", i) for i in rows] if sample else None
+            got = generate(params, prefix, rngs(range(len(prefix))), TINY, v, cot)
+            if exact:
+                want = _reference_generate(params, prefix, rngs(range(len(prefix))), TINY, v, mode, float(sample))
+            else:
+                want = [
+                    _reference_generate(params, prefix[i : i + 1], rngs([i]), TINY, v, mode, float(sample))[0]
+                    for i in range(len(prefix))
+                ]
+            for g, w in zip(got, want):
+                assert np.array_equal(g.tokens, w.tokens) and g.truncated == w.truncated
+                if exact:
+                    assert np.array_equal(g.token_logprobs, w.token_logprobs)
+                    assert np.array_equal(g.final_hidden, w.final_hidden)
+                else:
+                    assert np.max(np.abs(g.token_logprobs - w.token_logprobs)) <= 1e-12
+                    assert np.max(np.abs(g.final_hidden - w.final_hidden)) <= 1e-12
+                lengths.add(len(g.tokens))
+    return lengths
+
+
+def test_shared_prefill_matches_rows_alone(monkeypatch):
+    v = TINY.vocab()
+    calls = _prefill_calls(monkeypatch)
+    b, context = 5, 8
+    lengths = set()
+    for seed in range(6):
+        params = tiny_params(60 + seed)
+        rng = substream(seed, "shared", "prefix")
+        for suffix in range(1, 10):
+            prefix = np.hstack([
+                np.tile(rng.integers(0, v.size, size=context), (b, 1)),
+                rng.integers(0, v.size, size=(b, suffix)),
+            ])
+            prefix[:, context] = rng.permutation(v.size)[:b]  # rows part at the first suffix column
+            calls.clear()
+            generate(params, prefix, None, TINY, v)
+            assert calls == [((1, context), 0), ((b, suffix), context)]
+            lengths |= _assert_matches_unshared(params, prefix, seed, exact=False)
+    assert len(lengths) >= 2
+
+
+def test_shared_prefill_edge_cases(monkeypatch):
+    v = TINY.vocab()
+    calls = _prefill_calls(monkeypatch)
+    params = tiny_params(70)
+    rng = substream(9, "shared", "edges")
+    row = rng.integers(0, v.size, size=12)
+    apart = rng.integers(0, v.size, size=(4, 12))
+    apart[:, 0] = [0, 1, 2, 3]
+    cases = [
+        (np.tile(row, (4, 1)), [((1, 11), 0), ((4, 1), 11)], False),  # identical rows: S = T_p - 1
+        (row[None, :], [((1, 12), 0)], True),  # one row: nothing to share
+        (apart, [((4, 12), 0)], True),  # no common column
+    ]
+    for prefix, prefill, exact in cases:
+        calls.clear()
+        generate(params, prefix, None, TINY, v)
+        assert calls == prefill
+        _assert_matches_unshared(params, prefix, 9, exact)
+
+
+def test_prefill_from_a_start_position_matches_one_forward():
+    params = tiny_params(71)
+    ids = substream(10, "ids").integers(0, TINY.vocab().size, size=(3, 14))
+    full = _np_forward(params, ids, TINY)
+    for s in (1, 6, 13):
+        state = DecodeState(TINY, 3)
+        head = _np_forward(params, ids[:, :s], TINY, state)
+        tail = _np_forward(params, ids[:, s:], TINY, state, start=s)
+        assert state.length == 14
+        assert np.max(np.abs(np.concatenate([head, tail], axis=1) - full)) <= 1e-12
+    with pytest.raises(ContractViolation):
+        _np_forward(params, ids[:, 6:], TINY, start=6)  # no state holds positions 0..5
+    with pytest.raises(ContractViolation):
+        _np_forward(params, ids[:, 6:], TINY, DecodeState(TINY, 3), start=6)
