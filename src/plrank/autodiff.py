@@ -303,20 +303,32 @@ def _query_blocks(t: int) -> list[slice]:
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head causal self-attention of (B, T, d) projections -> (B, T, d)."""
+    """Multi-head causal attention of (B, Tq, d) queries over (B, Tk, d) keys and values.
+
+    Tk >= Tq: the queries are the last Tq positions, so query i sits at
+    position Tk - Tq + i, as in `attention_forward`. Returns (B, Tq, d).
+    """
     tape = _same_tape(q, k, v)
     shape = q.data.shape
-    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape or shape[-1] % n_heads:
+    if (
+        len(shape) != 3
+        or k.data.ndim != 3
+        or k.data.shape != v.data.shape
+        or (k.data.shape[0], k.data.shape[2]) != (shape[0], shape[2])
+        or k.data.shape[1] < shape[1]
+        or shape[-1] % n_heads
+    ):
         raise ContractViolation(
-            f"causal_attention needs equal (B, T, d) q/k/v with d divisible by {n_heads} heads, "
-            f"got {q.data.shape}, {k.data.shape}, {v.data.shape}"
+            f"causal_attention needs q (B, Tq, d) and equal k/v (B, Tk, d) with Tk >= Tq and d "
+            f"divisible by {n_heads} heads, got {q.data.shape}, {k.data.shape}, {v.data.shape}"
         )
+    offset = k.data.shape[1] - shape[1]
     qh, kh, vh = (split_heads(z.data, n_heads) for z in (q, k, v))
     blocks = _query_blocks(shape[1])
     out = np.empty(qh.shape)
-    probs = []  # per block, (B, H, rows, rows.stop): rows see keys 0..rows.stop-1
+    probs = []  # per block, (B, H, rows, keys): rows see keys 0..offset+rows.stop-1
     for rows in blocks:
-        keys = rows.stop
+        keys = offset + rows.stop
         p, out[..., rows, :] = attention_forward(qh[..., rows, :], kh[..., :keys, :], vh[..., :keys, :])
         probs.append(p)
     scale = qh.shape[-1] ** -0.5
@@ -328,7 +340,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         # of p; that row sum equals rowsum(gh * out), a (T, e) product.
         inner = (gh * out).sum(axis=-1, keepdims=True)
         for rows, p in zip(blocks, probs):
-            keys = rows.stop
+            keys = offset + rows.stop
             g_rows = gh[..., rows, :]
             gs = g_rows @ np.swapaxes(vh[..., :keys, :], -1, -2)
             gs -= inner[..., rows, :]

@@ -9,7 +9,6 @@ machine-readable line on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -177,7 +176,8 @@ def cmd_train(args) -> int:
             params = init_params(pcfg, substream(cfg.seed, "init", "policy"))
         # the metrics file is replaced only once the checkpoint is written
         with atomic_write(out / "metrics_sft.csv", "w", encoding="utf-8", newline="") as fh:
-            rows = sft_train(params, examples, pcfg, tcfg, seed=cfg.seed, metrics=MetricsWriter(fh))
+            metrics = MetricsWriter(fh, h, cfg.seed)
+            rows = sft_train(params, examples, pcfg, tcfg, seed=cfg.seed, metrics=metrics)
             save_checkpoint(out / "sft_model.bin", params, h, cfg.seed)
         final = -rows[-1]["ppo_obj"] if rows else float("nan")
         print(f"train sft: {len(rows)} steps, final nll {final:.4f}")
@@ -188,7 +188,8 @@ def cmd_train(args) -> int:
         raise DataFormatError(f"missing init checkpoint {init_path}; train the sft stage first")
     params, _, _ = load_checkpoint(init_path)
     with atomic_write(out / "metrics_rl.csv", "w", encoding="utf-8", newline="") as fh:
-        rows = rl_train(params, instances, pcfg, tcfg, seed=cfg.seed, metrics=MetricsWriter(fh))
+        metrics = MetricsWriter(fh, h, cfg.seed)
+        rows = rl_train(params, instances, pcfg, tcfg, seed=cfg.seed, metrics=metrics)
         save_checkpoint(out / "rl_model.bin", params, h, cfg.seed)
     final = rows[-1].mean_reward if rows else float("nan")
     print(f"train rl: {len(rows)} steps, final mean reward {final:.4f}")
@@ -303,13 +304,10 @@ def cmd_report(args) -> int:
         path = out / f"metrics_{stage}.csv"
         if not path.exists():
             continue
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            steps, values = [], []
-            for row in reader:
-                if row[column]:
-                    steps.append(float(row["step"]))
-                    values.append(float(row[column]))
+        _, header, rows = read_table(path)
+        step_at, value_at = header.index("step"), header.index(column)
+        steps = [float(row[step_at]) for row in rows if row[value_at]]
+        values = [float(row[value_at]) for row in rows if row[value_at]]
         if not steps:
             continue
         svg = out / f"curve_{stage}.svg"
@@ -338,7 +336,14 @@ def cmd_verify(args) -> int:
             problems.append(f"{effective.name}: effective config hashes differently")
         checked += 1
 
-    for name in ("eval.csv", "strata.csv", "probe_position.csv", "probe_history.csv"):
+    for name in (
+        "metrics_sft.csv",
+        "metrics_rl.csv",
+        "eval.csv",
+        "strata.csv",
+        "probe_position.csv",
+        "probe_history.csv",
+    ):
         path = out / name
         if not path.exists():
             continue

@@ -5,10 +5,15 @@ attribute tokens), contexts are serialized as attribute token runs, and the
 scoring head maps the final generated token's last-layer hidden state to a raw
 ranking score. Each layer's math is written once, in the fused autodiff ops
 `linear` and `causal_attention`. Training runs them on the tape; sampling
-calls their plain-numpy forwards, either over a prefix (the columns a batch's
-rows share once, then each row's rest) or one token at a time against cached
-keys and values. A teacher-forced re-evaluation test pins the two paths
-together.
+calls their plain-numpy forwards, either over a prefix or one token at a time
+against cached keys and values. A teacher-forced re-evaluation test pins the
+two paths together.
+
+Both paths run the columns a batch's rows share (`shared_prefix_length`: a
+slate's profile and history) once, at batch 1, then only each row's rest:
+`generate` copies the shared keys and values into every row's cache, and
+`forward_hidden_tape(..., shared=S)` lets the rows' suffixes attend to them
+through `broadcast_to`.
 """
 from __future__ import annotations
 
@@ -222,25 +227,65 @@ def lift_params(
     return lifted
 
 
-def forward_hidden_tape(pt: dict[str, Tensor], ids: np.ndarray, cfg: PolicyConfig) -> Tensor:
-    """Last-layer hidden states (B, T, d) for token ids (B, T)."""
+def shared_prefix_length(prefix: np.ndarray) -> int:
+    """Leading columns on which every row of `prefix` (B, T_p) agrees, capped at T_p - 1.
+
+    The cap leaves every row at least its last prefix token to run itself. A
+    single row shares nothing, so it runs whole.
+    """
+    if prefix.shape[0] < 2:
+        return 0
+    agree = (prefix == prefix[0]).all(axis=0)[:-1]
+    return int(np.logical_and.accumulate(agree).sum())
+
+
+def _tape_embed(pt: dict[str, Tensor], ids: np.ndarray, start: int, d: int) -> Tensor:
+    """Token plus position embeddings (B, T, d) of ids (B, T) at positions start..start+T-1."""
+    b, t = ids.shape
+    tok = ad.index_select(pt["emb"], ids)
+    pos = ad.index_select(pt["pos"], np.arange(start, start + t))
+    return ad.add(tok, ad.broadcast_to(ad.reshape(pos, (1, t, d)), (b, t, d)))
+
+
+def _tape_layer(pt: dict[str, Tensor], p: str, x: Tensor, q: Tensor, k: Tensor, v: Tensor, n_heads: int):
+    """The rest of a decoder layer once its projections are made: attention, then the MLP."""
+    x = ad.add(x, ad.linear(ad.causal_attention(q, k, v, n_heads), pt[p + "wo"], pt[p + "bo"]))
+    inner = ad.relu(ad.linear(x, pt[p + "w1"], pt[p + "b1"]))
+    return ad.add(x, ad.linear(inner, pt[p + "w2"], pt[p + "b2"]))
+
+
+def forward_hidden_tape(
+    pt: dict[str, Tensor], ids: np.ndarray, cfg: PolicyConfig, shared: int = 0
+) -> Tensor:
+    """Last-layer hidden states (B, T - shared, d) of columns shared..T-1 of ids (B, T).
+
+    The first `shared` columns must be the same in every row. They run once,
+    at batch 1; each layer hands their keys and values to the (B, T - shared)
+    rest through `broadcast_to`, whose backward sums the rows' gradients. With
+    `shared` = 0 every row runs whole.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
         raise ContractViolation(f"ids must be (B, T), got shape {ids.shape}")
     b, t = ids.shape
     if t > cfg.max_len:
         raise ContractViolation(f"sequence length {t} exceeds max_len {cfg.max_len}")
+    if not 0 <= shared < t or (ids[:, :shared] != ids[:1, :shared]).any():
+        raise ContractViolation(f"the first {shared} of {t} columns are not shared by every row")
     d = cfg.d_model
-    tok = ad.index_select(pt["emb"], ids)
-    pos = ad.index_select(pt["pos"], np.arange(t))
-    x = ad.add(tok, ad.broadcast_to(ad.reshape(pos, (1, t, d)), (b, t, d)))
+    x = _tape_embed(pt, ids[:, shared:], shared, d)
+    xs = _tape_embed(pt, ids[:1, :shared], 0, d) if shared else None
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         q, k, v = (ad.linear(x, pt[p + "w" + n], pt[p + "b" + n]) for n in "qkv")
-        merged = ad.causal_attention(q, k, v, cfg.n_heads)
-        x = ad.add(x, ad.linear(merged, pt[p + "wo"], pt[p + "bo"]))
-        inner = ad.relu(ad.linear(x, pt[p + "w1"], pt[p + "b1"]))
-        x = ad.add(x, ad.linear(inner, pt[p + "w2"], pt[p + "b2"]))
+        if xs is not None:
+            qs, ks, vs = (ad.linear(xs, pt[p + "w" + n], pt[p + "b" + n]) for n in "qkv")
+            k, v = (
+                ad.concat([ad.broadcast_to(zs, (b, shared, d)), z], axis=1) for zs, z in ((ks, k), (vs, v))
+            )
+            # the last layer's shared rows feed no later keys or values
+            xs = _tape_layer(pt, p, xs, qs, ks, vs, cfg.n_heads) if i + 1 < cfg.n_layers else None
+        x = _tape_layer(pt, p, x, q, k, v, cfg.n_heads)
     return x
 
 
@@ -415,8 +460,7 @@ def generate(
     if rngs is not None and len(rngs) != b:
         raise ContractViolation(f"need one rng per row, got {len(rngs)} for {b} rows")
     state = DecodeState(cfg, b)
-    agree = (prefix == prefix[0]).all(axis=0)[:-1]
-    s = int(np.logical_and.accumulate(agree).sum()) if b > 1 else 0
+    s = shared_prefix_length(prefix)
     if s:
         shared = DecodeState(cfg, 1)
         _np_forward(params, prefix[:1, :s], cfg, shared)

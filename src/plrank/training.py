@@ -7,6 +7,10 @@ ratio objective on the rationale tokens (policy weights) and a score-gradient
 objective through the ranking distribution (head weights, optionally flowing
 back into the policy trunk). Every random draw comes from a keyed substream,
 so runs are bit-reproducible and per-item draws never depend on slate order.
+
+The update's tape pass runs an instance's shared user prefix once, at batch
+1, and its K candidate rows only from there on (`instance_objectives`), so
+the token positions it reads are shifted by the shared length.
 """
 from __future__ import annotations
 
@@ -32,8 +36,10 @@ from .policy import (
     lift_params,
     pack_rows,
     sequence_log_probs_tape,
+    shared_prefix_length,
 )
 from .rank import batched_ndcg, pl_log_probs_and_grads, pl_sample_many
+from .report import report_header
 from .rng import KeyedStreams
 from .world import RankingInstance, SftExample
 
@@ -47,6 +53,11 @@ METRICS_COLUMNS = (
     "head_obj",
     "grad_norm_theta",
     "grad_norm_phi",
+    "clip_frac",
+    "approx_kl",
+    "ratio_max",
+    "gen_len_mean",
+    "truncation_rate",
     "wallclock_ms",
 )
 
@@ -131,10 +142,15 @@ class Adam:
 
 
 class MetricsWriter:
-    """CSV log over an open text file; floats are written at full precision."""
+    """CSV log over an open text file; floats are written at full precision.
 
-    def __init__(self, fh):
-        self._writer = csv.writer(fh)
+    The first line is the report header (config hash and seed), as in every
+    report table, then the column names.
+    """
+
+    def __init__(self, fh, config_hash: str, seed: int):
+        fh.write(report_header("metrics", config_hash, seed) + "\n")
+        self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(METRICS_COLUMNS)
 
     def write_row(self, **fields) -> None:
@@ -350,27 +366,32 @@ def instance_objectives(
     record: RolloutRecord,
     tcfg: TrainConfig,
     pcfg: PolicyConfig,
-) -> tuple[Tensor | None, Tensor, float]:
+) -> tuple[Tensor | None, Tensor, np.ndarray | None]:
     """Build the clipped token objective and the ranking objective on tape.
 
-    Returns (token objective or None when the policy is frozen, ranking
-    objective, advantage used for the token objective). Both objectives are
-    to be maximized.
+    Returns (token objective, ranking objective, per-token ratios (N,) of
+    live to sampling-time probabilities); the first and last are None when
+    the policy is frozen. Both objectives are to be maximized. The columns
+    every row's prefix shares (the user's part) run once, at batch 1, so the
+    hidden states and positions start at column S.
     """
     tape = pt["emb"].tape
-    hidden = forward_hidden_tape(pt, record.ids, pcfg)
+    s = shared_prefix_length(record.ids[:, : record.prefix_len])
+    ids = record.ids[:, s:]
+    hidden = forward_hidden_tape(pt, record.ids, pcfg, shared=s)
     k = record.ids.shape[0]
 
     ppo_obj: Tensor | None = None
+    ratio: Tensor | None = None
     advantage = float(record.rewards.mean())
     if tcfg.joint:
-        lp_live = sequence_log_probs_tape(pt, hidden, record.ids, record.rows, record.positions)
+        lp_live = sequence_log_probs_tape(pt, hidden, ids, record.rows, record.positions - s)
         ratio = ad.exp(ad.add(lp_live, tape.constant(-record.logprobs_old)))
         unclipped = ad.scale(ratio, advantage)
         clipped = ad.scale(ad.clip(ratio, 1.0 - tcfg.epsilon, 1.0 + tcfg.epsilon), advantage)
         ppo_obj = ad.mean(ad.minimum(unclipped, clipped))
 
-    finals = gather_positions_tape(hidden, np.arange(k), record.final_positions)
+    finals = gather_positions_tape(hidden, np.arange(k), record.final_positions - s)
     if not tcfg.joint:
         finals = tape.constant(finals.data)  # sever the path into the trunk
     scores_rows = head_score_tape(pt, finals)
@@ -378,17 +399,27 @@ def instance_objectives(
     log_probs = pl_log_prob_tape(scores_pres, record.rankings)
     weights = ranking_weights(record.rewards, tcfg.baseline)
     head_obj = ad.asum(ad.mul(log_probs, tape.constant(weights)))
-    return ppo_obj, head_obj, advantage
+    return ppo_obj, head_obj, None if ratio is None else ratio.data
 
 
 @dataclass
 class RlStepStats:
+    """One RL step. The objectives and gradient norms are the first inner
+    epoch's, at the rollout weights. The ratio columns are the last inner
+    epoch's, after the updates before it: at the first epoch the ratio is 1
+    up to rounding, so its clip fraction would read 0 on any run."""
+
     step: int
     mean_reward: float
     ppo_obj: float
     head_obj: float
     grad_norm_theta: float
     grad_norm_phi: float
+    clip_frac: float        # share of tokens whose ratio lies outside [1 - eps, 1 + eps]
+    approx_kl: float        # mean of r - 1 - log r, an estimate of KL(sampling || live)
+    ratio_max: float
+    gen_len_mean: float     # mean sampled rationale length, in tokens
+    truncation_rate: float  # share of rationales cut at max_gen
     wallclock_ms: float = 0.0
 
 
@@ -415,8 +446,11 @@ def rl_step(
         total: Tensor | None = None
         ppo_val = 0.0
         head_val = 0.0
+        ratios = []
         for record in records:
-            ppo_obj, head_obj, _ = instance_objectives(pt, record, tcfg, pcfg)
+            ppo_obj, head_obj, ratio = instance_objectives(pt, record, tcfg, pcfg)
+            if ratio is not None:
+                ratios.append(ratio)
             contrib = head_obj if ppo_obj is None else ad.add(ppo_obj, head_obj)
             ppo_val += float(ppo_obj.data) / n if ppo_obj is not None else 0.0
             head_val += float(head_obj.data) / n
@@ -430,6 +464,8 @@ def rl_step(
             first_theta = grad_norm(grads, head=False)
             first_phi = grad_norm(grads, head=True)
         opt.step(params, grads)
+    ratio = np.concatenate(ratios) if ratios else np.ones(1)  # a frozen policy keeps ratio 1
+    rats = [r for record in records for r in record.rationales]
     stats = RlStepStats(
         step=step,
         mean_reward=float(np.mean([r.rewards.mean() for r in records])),
@@ -437,6 +473,11 @@ def rl_step(
         head_obj=first_head,
         grad_norm_theta=first_theta,
         grad_norm_phi=first_phi,
+        clip_frac=float(np.mean(np.abs(ratio - 1.0) > tcfg.epsilon)),
+        approx_kl=float(np.mean(ratio - 1.0 - np.log(ratio))),
+        ratio_max=float(ratio.max()),
+        gen_len_mean=float(np.mean([r.tokens.size for r in rats])),
+        truncation_rate=float(np.mean([r.truncated for r in rats])),
     )
     return stats, records
 

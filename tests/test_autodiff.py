@@ -262,6 +262,16 @@ def _battery():
         return ad.asum(ad.mul(pl_log_prob_tape(s, perms11), tape.constant(weights11)))
 
     cases.append((f11, [h11a, h11b]))
+
+    # 12. fused causal attention of the last Tq = 3 of Tk = 7 positions, B=2
+    q12, (k12, v12) = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 2, 7, 4))
+    read12 = rng.normal(size=(2, 3, 4))
+
+    def f12(ql, kl, vl):
+        out = ad.causal_attention(ql, kl, vl, 2)
+        return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read12)))
+
+    cases.append((f12, [q12, k12, v12]))
     return cases
 
 
@@ -373,6 +383,41 @@ def test_fused_ops_reject_bad_shapes():
         ad.causal_attention(q, q, tape.leaf(np.ones((1, 3, 6))), 2)
     with pytest.raises(ContractViolation):
         ad.causal_attention(q, q, q, 4)
+    short = tape.leaf(np.ones((1, 3, 6)))
+    with pytest.raises(ContractViolation):  # Tk < Tq
+        ad.causal_attention(q, short, short, 2)
+    longer = tape.leaf(np.ones((1, 5, 6)))
+    with pytest.raises(ContractViolation):  # k and v of different lengths
+        ad.causal_attention(q, longer, tape.leaf(np.ones((1, 6, 6))), 2)
+    with pytest.raises(ContractViolation):  # k/v batch differs from q's
+        ad.causal_attention(q, tape.leaf(np.ones((2, 5, 6))), tape.leaf(np.ones((2, 5, 6))), 2)
+    with pytest.raises(ContractViolation):  # k/v width differs from q's
+        ad.causal_attention(q, tape.leaf(np.ones((1, 5, 4))), tape.leaf(np.ones((1, 5, 4))), 2)
+
+
+def test_attention_of_the_last_queries_matches_the_full_rows():
+    # two query blocks against keys that run 11 positions further back
+    rng = np.random.default_rng(5)
+    b, tq, d = 2, 2 * ad.ATTENTION_BLOCK + 5, 6
+    tk = tq + 11
+    q, k, v = rng.normal(size=(3, b, tk, d))
+    readout = rng.normal(size=(b, tk, d))
+    readout[:, : tk - tq] = 0.0  # the full pass's first rows count for nothing
+
+    def run(q_rows):
+        tape = Tape()
+        leaves = [tape.leaf(a, requires_grad=True) for a in (q_rows, k, v)]
+        out = ad.causal_attention(*leaves, 2)
+        loss = ad.asum(ad.mul(out, tape.constant(readout[:, -out.shape[1] :])))
+        grads = tape.backward(loss)
+        return out.data, [grads[leaf.node_id] for leaf in leaves]
+
+    full, (gq_full, gk_full, gv_full) = run(q)
+    last, (gq, gk, gv) = run(q[:, -tq:])
+    assert last.shape == (b, tq, d)
+    for got, want in ((last, full[:, -tq:]), (gq, gq_full[:, -tq:]), (gk, gk_full), (gv, gv_full)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert not gq_full[:, : tk - tq].any()
 
 
 def test_finished_tape_is_freed_by_reference_counting():

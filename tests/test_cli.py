@@ -191,3 +191,19 @@ def test_interrupted_train_keeps_previous_metrics(workdir, monkeypatch):
     assert (out / "metrics_sft.csv").read_bytes() == metrics
     assert (out / "sft_model.bin").read_bytes() == checkpoint
     assert not list(out.glob("*.tmp"))
+
+
+def test_verify_checks_the_metrics_header(workdir, capsys):
+    cfg_path, out = workdir
+    run(cfg_path, out, "gen-data")
+    run(cfg_path, out, "build-sft")
+    run(cfg_path, out, "train", "--stage", "sft")
+    assert run(cfg_path, out, "verify") == 0
+    path = out / "metrics_sft.csv"
+    first, rest = path.read_text().split("\n", 1)
+    assert first.startswith("# plrank kind=metrics ") and rest.startswith("step,")
+    path.write_text(first.replace("seed=5", "seed=6") + "\n" + rest)
+    capsys.readouterr()
+    assert run(cfg_path, out, "verify") == 2
+    assert "metrics_sft.csv: seed 6 != 5" in capsys.readouterr().err
+    assert run(cfg_path, out, "report") == 0  # the header is not a data row

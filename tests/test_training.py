@@ -1,12 +1,14 @@
 """Tests for both training stages and their building blocks."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import plrank.autodiff as ad
+import plrank.training
 from plrank.autodiff import Tape
 from plrank.errors import ConfigError, TrainingDiverged
 from plrank.policy import (
@@ -16,9 +18,11 @@ from plrank.policy import (
     is_head_param,
     sequence_log_probs_tape,
     serialize_context,
+    shared_prefix_length,
     token_log_probs,
 )
 from plrank.rank import pl_grad_scores, pl_log_prob
+from plrank.report import report_header
 from plrank.rng import KeyedStreams, substream
 from plrank.training import (
     Adam,
@@ -29,6 +33,7 @@ from plrank.training import (
     TrainConfig,
     instance_objectives,
     lift_params,
+    named_grads,
     pl_log_prob_tape,
     ranking_weights,
     rl_step,
@@ -102,11 +107,13 @@ def test_adam_minimizes_quadratic():
 def test_metrics_writer_format(tmp_path):
     path = tmp_path / "metrics.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = MetricsWriter(fh)
+        w = MetricsWriter(fh, "abc123", 7)
         w.write_row(step=0, stage="sft", ppo_obj=-3.25, grad_norm_theta=1.5, wallclock_ms=2.0)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(METRICS_COLUMNS)
-    cells = lines[1].split(",")
+    assert lines[0] == report_header("metrics", "abc123", 7)
+    assert lines[1] == ",".join(METRICS_COLUMNS)
+    assert METRICS_COLUMNS[-1] == "wallclock_ms"  # the one timing column, stripped by A10
+    cells = lines[2].split(",")
     assert cells[0] == "0" and cells[1] == "sft"
     assert cells[2] == ""  # mean_reward not applicable during cloning
     assert float(cells[3]) == -3.25
@@ -272,10 +279,11 @@ def test_instance_objectives_at_rollout_params():
     rec = rollout(params, instances[0], PCFG, tcfg, PCFG.vocab(), KeyedStreams(5), step=0)
     tape = Tape()
     pt = lift_params(tape, params)
-    ppo_obj, head_obj, advantage = instance_objectives(pt, rec, tcfg, PCFG)
+    ppo_obj, head_obj, ratio = instance_objectives(pt, rec, tcfg, PCFG)
     # with ratios exactly one, the clipped objective equals the advantage
-    assert advantage == pytest.approx(rec.rewards.mean())
-    assert float(ppo_obj.data) == pytest.approx(advantage, abs=1e-10)
+    assert ratio.shape == rec.logprobs_old.shape
+    assert np.max(np.abs(ratio - 1.0)) < 1e-10
+    assert float(ppo_obj.data) == pytest.approx(rec.rewards.mean(), abs=1e-10)
     weights = ranking_weights(rec.rewards, "none")
     expected = sum(
         w * pl_log_prob(p, rec.scores) for w, p in zip(weights, rec.rankings)
@@ -346,12 +354,102 @@ def test_rl_metrics_rows(tmp_path):
     params = fresh_params()
     path = tmp_path / "metrics.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = MetricsWriter(fh)
+        writer = MetricsWriter(fh, "cafe", 3)
         rl_train(params, instances[:4], PCFG, TrainConfig(steps=2), seed=3, metrics=writer)
     lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    header = lines[0].split(",")
-    row = dict(zip(header, lines[1].split(",")))
+    assert len(lines) == 4
+    assert lines[0] == report_header("metrics", "cafe", 3)
+    header = lines[1].split(",")
+    row = dict(zip(header, lines[2].split(",")))
     assert row["stage"] == "rl"
     assert 0.0 <= float(row["mean_reward"]) <= 1.0
+    assert 0.0 <= float(row["clip_frac"]) <= 1.0
+    assert float(row["approx_kl"]) >= 0.0
+    assert float(row["ratio_max"]) > 1.0  # the second inner epoch sees the first one's update
+    assert 1.0 <= float(row["gen_len_mean"]) <= PCFG.max_gen
+    assert 0.0 <= float(row["truncation_rate"]) <= 1.0
     assert float(row["wallclock_ms"]) > 0.0
+    assert header.index("wallclock_ms") == len(header) - 1
+
+
+def test_rl_health_stats_follow_the_ratio():
+    world, instances = tiny_setup()
+
+    def step(**fields):
+        params = fresh_params()
+        opt = Adam(params, 3e-2, 1e-3)
+        tcfg = TrainConfig(rankings_per_instance=2, **fields)
+        return rl_step(params, opt, instances[:2], PCFG, tcfg, PCFG.vocab(), KeyedStreams(9), step=0)
+
+    stats, records = step(inner_epochs=1)
+    rats = [r for rec in records for r in rec.rationales]
+    assert stats.gen_len_mean == np.mean([r.tokens.size for r in rats])
+    assert stats.truncation_rate == np.mean([r.truncated for r in rats])
+    # one epoch at the rollout weights: the ratio is 1 up to rounding
+    assert stats.clip_frac == 0.0
+    assert abs(stats.ratio_max - 1.0) < 1e-10 and abs(stats.approx_kl) < 1e-20
+    moved, _ = step(inner_epochs=3, epsilon=0.01)
+    assert moved.clip_frac > 0.0 and moved.approx_kl > 0.0 and moved.ratio_max > 1.0
+    frozen, _ = step(inner_epochs=3, joint=False)
+    assert (frozen.clip_frac, frozen.approx_kl, frozen.ratio_max) == (0.0, 0.0, 1.0)
+
+
+def _with_history(inst: RankingInstance, n_events: int) -> RankingInstance:
+    """inst with its history replaced by n_events events built from its candidates' tokens."""
+    events = tuple(
+        HistoryEvent(f"h{t}", inst.candidates[-1 - t].tokens, t) for t in range(n_events)
+    )
+    return dataclasses.replace(inst, ctx=dataclasses.replace(inst.ctx, history=events))
+
+
+def test_shared_tape_pass_matches_full_rows(monkeypatch):
+    world, instances = tiny_setup(K=6)
+    params = fresh_params()
+    vocab = PCFG.vocab()
+
+    def full(prefix):  # the reference: every row runs whole
+        return 0
+
+    for n_events, cot, joint in itertools.product((0, 1, 3), (True, False), (True, False)):
+        inst = _with_history(instances[n_events], n_events)
+        tcfg = TrainConfig(rankings_per_instance=3, cot=cot, joint=joint)
+        rec = rollout(params, inst, PCFG, tcfg, vocab, KeyedStreams(4), step=n_events)
+        s = shared_prefix_length(rec.ids[:, : rec.prefix_len])
+        assert PCFG.m * (n_events + 1) <= s < rec.prefix_len
+
+        def objective(shared_rule):
+            monkeypatch.setattr(plrank.training, "shared_prefix_length", shared_rule)
+            tape = Tape()
+            pt = lift_params(tape, params, train_policy=joint, train_head=True)
+            ppo_obj, head_obj, ratio = instance_objectives(pt, rec, tcfg, PCFG)
+            loss = head_obj if ppo_obj is None else ad.add(ppo_obj, head_obj)
+            return float(loss.data), ratio, named_grads(pt, tape.backward(loss))
+
+        calls = []
+        attention = ad.causal_attention
+
+        def recording(q, k, v, n_heads):
+            calls.append((q.shape, k.shape))
+            return attention(q, k, v, n_heads)
+
+        monkeypatch.setattr(ad, "causal_attention", recording)
+        loss, ratio, grads = objective(shared_prefix_length)
+        monkeypatch.setattr(ad, "causal_attention", attention)
+        k, t = rec.ids.shape
+        d = PCFG.d_model
+        # the shared columns run at batch 1 in every layer but the last, whose
+        # shared rows feed nothing; the K rows run only their suffixes
+        expected = []
+        for layer in range(PCFG.n_layers):
+            if layer + 1 < PCFG.n_layers:
+                expected.append(((1, s, d), (1, s, d)))
+            expected.append(((k, t - s, d), (k, t, d)))
+        assert calls == expected
+
+        ref_loss, ref_ratio, ref_grads = objective(full)
+        assert abs(loss - ref_loss) <= 1e-12
+        if joint:
+            assert np.max(np.abs(ratio - ref_ratio)) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, (n_events, cot, joint, name)
