@@ -42,7 +42,7 @@ from .report import (
     write_summary_json,
 )
 from .rng import substream
-from .training import MetricsWriter, rl_train, sft_train
+from .training import METRICS_COLUMNS, MetricsWriter, rl_train, sft_train
 from .world import (
     SPLITS,
     build_instances,
@@ -352,6 +352,8 @@ def cmd_verify(args) -> int:
             problems.append(f"{name}: config_hash {meta['config_hash'][:12]} != {expected[:12]}")
         if meta["seed"] != cfg.seed:
             problems.append(f"{name}: seed {meta['seed']} != {cfg.seed}")
+        if name.startswith("metrics_") and tuple(header) != METRICS_COLUMNS:
+            problems.append(f"{name}: columns {','.join(header)} != {','.join(METRICS_COLUMNS)}")
         checked += 1
         if name == "probe_history.csv":
             summary_path = out / "probe_summary.json"

@@ -58,6 +58,8 @@ METRICS_COLUMNS = (
     "ratio_max",
     "gen_len_mean",
     "truncation_rate",
+    "decision_acc",
+    "score_std",
     "wallclock_ms",
 )
 
@@ -193,17 +195,27 @@ def sft_batch_loss(
     pcfg: PolicyConfig,
     train: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean per-token NLL of the teacher targets, plus policy gradients."""
+    """Mean per-token NLL of the teacher targets, plus policy gradients.
+
+    Rows run in length classes: rows whose length has the same ceil(log2)
+    share one padded pass, in batch order, so no row is padded to more than
+    twice its length. The loss agrees with one padded pass over the whole
+    batch up to the grouping of its sums.
+    """
     if not batch:
         raise ContractViolation("sft batch is empty")
-    ids, rows, positions = pack_rows(
-        [ex.prefix for ex in batch], [ex.target for ex in batch], pcfg.vocab().EOS
-    )
+    eos = pcfg.vocab().EOS
+    classes = np.array([(ex.prefix.size + ex.target.size - 1).bit_length() for ex in batch])
     tape = Tape()
     pt = lift_params(tape, params, train_policy=train, train_head=False)
-    hidden = forward_hidden_tape(pt, ids, pcfg)
-    lp = sequence_log_probs_tape(pt, hidden, ids, rows, positions)
-    loss = ad.scale(ad.asum(lp), -1.0 / rows.size)
+    parts = []
+    for c in np.unique(classes):
+        members = [batch[i] for i in np.flatnonzero(classes == c)]
+        ids, rows, positions = pack_rows([ex.prefix for ex in members], [ex.target for ex in members], eos)
+        hidden = forward_hidden_tape(pt, ids, pcfg)
+        parts.append(sequence_log_probs_tape(pt, hidden, ids, rows, positions))
+    n_targets = sum(ex.target.size for ex in batch)
+    loss = ad.scale(ad.asum(ad.concat(parts)), -1.0 / n_targets)
     if not train:
         return float(loss.data), {}
     grads = named_grads(pt, tape.backward(loss))
@@ -373,27 +385,25 @@ def instance_objectives(
     live to sampling-time probabilities); the first and last are None when
     the policy is frozen. Both objectives are to be maximized. The columns
     every row's prefix shares (the user's part) run once, at batch 1, so the
-    hidden states and positions start at column S.
+    hidden states and positions start at column S. A frozen policy runs no
+    trunk at all: its weights are the rollout's, so the head reads the
+    rollout's final hidden states as constants.
     """
     tape = pt["emb"].tape
-    s = shared_prefix_length(record.ids[:, : record.prefix_len])
-    ids = record.ids[:, s:]
-    hidden = forward_hidden_tape(pt, record.ids, pcfg, shared=s)
-    k = record.ids.shape[0]
-
     ppo_obj: Tensor | None = None
     ratio: Tensor | None = None
-    advantage = float(record.rewards.mean())
     if tcfg.joint:
-        lp_live = sequence_log_probs_tape(pt, hidden, ids, record.rows, record.positions - s)
+        s = shared_prefix_length(record.ids[:, : record.prefix_len])
+        hidden = forward_hidden_tape(pt, record.ids, pcfg, shared=s)
+        advantage = float(record.rewards.mean())
+        lp_live = sequence_log_probs_tape(pt, hidden, record.ids[:, s:], record.rows, record.positions - s)
         ratio = ad.exp(ad.add(lp_live, tape.constant(-record.logprobs_old)))
         unclipped = ad.scale(ratio, advantage)
         clipped = ad.scale(ad.clip(ratio, 1.0 - tcfg.epsilon, 1.0 + tcfg.epsilon), advantage)
         ppo_obj = ad.mean(ad.minimum(unclipped, clipped))
-
-    finals = gather_positions_tape(hidden, np.arange(k), record.final_positions - s)
-    if not tcfg.joint:
-        finals = tape.constant(finals.data)  # sever the path into the trunk
+        finals = gather_positions_tape(hidden, np.arange(record.ids.shape[0]), record.final_positions - s)
+    else:
+        finals = tape.constant(np.stack([r.final_hidden for r in record.rationales]))
     scores_rows = head_score_tape(pt, finals)
     scores_pres = ad.index_select(scores_rows, record.row_of_slot)
     log_probs = pl_log_prob_tape(scores_pres, record.rankings)
@@ -420,6 +430,8 @@ class RlStepStats:
     ratio_max: float
     gen_len_mean: float     # mean sampled rationale length, in tokens
     truncation_rate: float  # share of rationales cut at max_gen
+    decision_acc: float     # share of rationales whose decision is the candidate's relevance
+    score_std: float        # std of a slate's head scores, averaged over the step's slates
     wallclock_ms: float = 0.0
 
 
@@ -478,6 +490,12 @@ def rl_step(
         ratio_max=float(ratio.max()),
         gen_len_mean=float(np.mean([r.tokens.size for r in rats])),
         truncation_rate=float(np.mean([r.truncated for r in rats])),
+        decision_acc=float(np.mean([
+            record.rationales[row].decision(vocab) == rel
+            for record in records
+            for row, rel in zip(record.row_of_slot, record.instance.relevance)
+        ])),
+        score_std=float(np.mean([np.std(record.scores) for record in records])),
     )
     return stats, records
 

@@ -207,3 +207,11 @@ def test_verify_checks_the_metrics_header(workdir, capsys):
     assert run(cfg_path, out, "verify") == 2
     assert "metrics_sft.csv: seed 6 != 5" in capsys.readouterr().err
     assert run(cfg_path, out, "report") == 0  # the header is not a data row
+    # a file written before decision_acc and score_std joined the columns
+    columns, body = rest.split("\n", 1)
+    assert columns.split(",")[-3:] == ["decision_acc", "score_std", "wallclock_ms"]
+    old = columns.replace("decision_acc,score_std,", "")
+    path.write_text(first + "\n" + old + "\n" + body)
+    capsys.readouterr()
+    assert run(cfg_path, out, "verify") == 2
+    assert f"metrics_sft.csv: columns {old} != " in capsys.readouterr().err

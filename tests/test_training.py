@@ -1,6 +1,7 @@
 """Tests for both training stages and their building blocks."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 
@@ -14,8 +15,11 @@ from plrank.errors import ConfigError, TrainingDiverged
 from plrank.policy import (
     PolicyConfig,
     forward_hidden_tape,
+    gather_positions_tape,
+    head_score_tape,
     init_params,
     is_head_param,
+    pack_rows,
     sequence_log_probs_tape,
     serialize_context,
     shared_prefix_length,
@@ -158,6 +162,74 @@ def test_sft_loss_on_ragged_rows_matches_per_row_log_probs():
     assert abs(loss - np.concatenate(nll).mean()) < 1e-12
 
 
+def _ragged_batch(seed: int, n_events: tuple[int, ...]) -> list[SftExample]:
+    """One SFT row per history length, each with a random REASON run and a decision."""
+    vocab = PCFG.vocab()
+    rng = substream(seed, "ragged")
+
+    def tokens():
+        return tuple(int(b) for b in rng.integers(0, PCFG.buckets, PCFG.m))
+
+    batch = []
+    for n in n_events:
+        history = tuple(HistoryEvent(f"h{t}", tokens(), t) for t in range(n))
+        ctx = UserContext("u", tokens(), history)
+        prefix = serialize_context(ctx, CandidateItem("c", tokens(), 0), vocab)
+        reason = rng.integers(vocab.SEC_REASON, vocab.size, int(rng.integers(1, 8)))
+        target = np.concatenate([reason, [vocab.NOT_RECOMMEND, vocab.EOS]])
+        batch.append(SftExample("i", "c", prefix, target, 0, 0))
+    return batch
+
+
+def _length_class(ex: SftExample) -> int:
+    """ceil(log2) of the row's length."""
+    return int(np.ceil(np.log2(ex.prefix.size + ex.target.size)))
+
+
+def test_sft_length_classes_match_one_padded_pass():
+    batch = _ragged_batch(5, (1, 0, 8, 1, 4, 0, 3, 1))
+    sizes = collections.Counter(_length_class(ex) for ex in batch)
+    assert len(sizes) >= 3 and 1 in sizes.values()
+    params = fresh_params(6)
+
+    def padded(train):  # the reference: one pass over the whole batch
+        ids, rows, positions = pack_rows(
+            [ex.prefix for ex in batch], [ex.target for ex in batch], PCFG.vocab().EOS
+        )
+        tape = Tape()
+        pt = lift_params(tape, params, train_policy=train, train_head=False)
+        lp = sequence_log_probs_tape(pt, forward_hidden_tape(pt, ids, PCFG), ids, rows, positions)
+        loss = ad.scale(ad.asum(lp), -1.0 / rows.size)
+        return float(loss.data), named_grads(pt, tape.backward(loss)) if train else {}
+
+    for train in (True, False):
+        loss, grads = sft_batch_loss(params, batch, PCFG, train=train)
+        ref_loss, ref_grads = padded(train)
+        assert abs(loss - ref_loss) <= 1e-12
+        trained = {n for n in params if not is_head_param(n)} if train else set()
+        assert grads.keys() == ref_grads.keys() == trained
+        for name, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
+
+
+def test_sft_pass_pads_at_most_twice_the_real_tokens(monkeypatch):
+    batch = _ragged_batch(8, (0, 0, 0, 8, 1, 0, 3))
+    real = sum(ex.prefix.size + ex.target.size for ex in batch)
+    longest = max(ex.prefix.size + ex.target.size for ex in batch)
+    assert len(batch) * longest > 2 * real  # one padded pass would break the bound
+    shapes = []
+    forward = plrank.training.forward_hidden_tape
+
+    def spy(pt, ids, cfg, shared=0):
+        shapes.append(ids.shape)
+        return forward(pt, ids, cfg, shared)
+
+    monkeypatch.setattr(plrank.training, "forward_hidden_tape", spy)
+    sft_batch_loss(fresh_params(), batch, PCFG)
+    assert sum(b for b, _ in shapes) == len(batch)
+    assert sum(b * t for b, t in shapes) <= 2 * real
+
+
 def test_sft_training_reduces_loss():
     world, instances = tiny_setup()
     vocab = PCFG.vocab()
@@ -291,6 +363,42 @@ def test_instance_objectives_at_rollout_params():
     assert float(head_obj.data) == pytest.approx(expected, abs=1e-10)
 
 
+def test_frozen_head_reads_the_rollout_finals():
+    world, instances = tiny_setup(K=6)
+    params = fresh_params(2)
+    vocab = PCFG.vocab()
+    for n_events, cot in itertools.product((0, 3), (True, False)):
+        inst = _with_history(instances[n_events], n_events)
+        tcfg = TrainConfig(rankings_per_instance=3, cot=cot, joint=False)
+        rec = rollout(params, inst, PCFG, tcfg, vocab, KeyedStreams(6), step=n_events)
+
+        def head(finals_of):
+            tape = Tape()
+            pt = lift_params(tape, params, train_policy=False, train_head=True)
+            head_obj = finals_of(pt)
+            return float(head_obj.data), named_grads(pt, tape.backward(head_obj))
+
+        def tape_finals(pt):  # the reference: the trunk's tape forward, read as constants
+            tape = pt["emb"].tape
+            hidden = forward_hidden_tape(pt, rec.ids, PCFG)
+            finals = gather_positions_tape(hidden, np.arange(len(rec.rationales)), rec.final_positions)
+            scores = ad.index_select(head_score_tape(pt, tape.constant(finals.data)), rec.row_of_slot)
+            weights = ranking_weights(rec.rewards, tcfg.baseline)
+            return ad.asum(ad.mul(pl_log_prob_tape(scores, rec.rankings), tape.constant(weights)))
+
+        def objectives(pt):
+            ppo_obj, head_obj, ratio = instance_objectives(pt, rec, tcfg, PCFG)
+            assert ppo_obj is None and ratio is None
+            return head_obj
+
+        value, grads = head(objectives)
+        ref_value, ref_grads = head(tape_finals)
+        assert abs(value - ref_value) <= 1e-12
+        assert grads.keys() == ref_grads.keys() == {n for n in params if is_head_param(n)}
+        for name, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, (n_events, cot, name)
+
+
 def test_frozen_policy_updates_head_only():
     world, instances = tiny_setup()
     params = fresh_params()
@@ -368,6 +476,8 @@ def test_rl_metrics_rows(tmp_path):
     assert float(row["ratio_max"]) > 1.0  # the second inner epoch sees the first one's update
     assert 1.0 <= float(row["gen_len_mean"]) <= PCFG.max_gen
     assert 0.0 <= float(row["truncation_rate"]) <= 1.0
+    assert 0.0 <= float(row["decision_acc"]) <= 1.0
+    assert float(row["score_std"]) > 0.0
     assert float(row["wallclock_ms"]) > 0.0
     assert header.index("wallclock_ms") == len(header) - 1
 
@@ -385,6 +495,14 @@ def test_rl_health_stats_follow_the_ratio():
     rats = [r for rec in records for r in rec.rationales]
     assert stats.gen_len_mean == np.mean([r.tokens.size for r in rats])
     assert stats.truncation_rate == np.mean([r.truncated for r in rats])
+    vocab = PCFG.vocab()
+    hits = [  # a missing or doubled decision (None) counts as wrong
+        rec.rationales[rec.row_of_slot[slot]].decision(vocab) == rec.instance.relevance[slot]
+        for rec in records
+        for slot in range(len(rec.instance.candidates))
+    ]
+    assert stats.decision_acc == np.mean(hits)
+    assert stats.score_std == np.mean([np.std(rec.scores) for rec in records])
     # one epoch at the rollout weights: the ratio is 1 up to rounding
     assert stats.clip_frac == 0.0
     assert abs(stats.ratio_max - 1.0) < 1e-10 and abs(stats.approx_kl) < 1e-20
@@ -438,13 +556,14 @@ def test_shared_tape_pass_matches_full_rows(monkeypatch):
         k, t = rec.ids.shape
         d = PCFG.d_model
         # the shared columns run at batch 1 in every layer but the last, whose
-        # shared rows feed nothing; the K rows run only their suffixes
+        # shared rows feed nothing; the K rows run only their suffixes. A
+        # frozen policy runs no trunk.
         expected = []
         for layer in range(PCFG.n_layers):
             if layer + 1 < PCFG.n_layers:
                 expected.append(((1, s, d), (1, s, d)))
             expected.append(((k, t - s, d), (k, t, d)))
-        assert calls == expected
+        assert calls == (expected if joint else [])
 
         ref_loss, ref_ratio, ref_grads = objective(full)
         assert abs(loss - ref_loss) <= 1e-12
