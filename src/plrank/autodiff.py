@@ -269,17 +269,23 @@ def merge_heads(x: Array) -> Array:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * e)
 
 
-def attention_forward(q: Array, k: Array, v: Array) -> tuple[Array, Array]:
+def attention_forward(
+    q: Array, k: Array, v: Array, positions: Array | None = None
+) -> tuple[Array, Array]:
     """Causal scaled dot-product attention on heads-first arrays.
 
-    q is (B, H, Tq, e); k and v are (B, H, Tk, e) with Tk >= Tq. Query i sits
-    at position Tk - Tq + i and sees keys 0..Tk - Tq + i, so a single query
-    sees every key. Returns (probs (B, H, Tq, Tk), out (B, H, Tq, e)).
+    q is (B, H, Tq, e); k and v are (B, H, Tk, e). Without `positions`,
+    Tk >= Tq and query i sits at position Tk - Tq + i and sees keys
+    0..Tk - Tq + i, so a single query sees every key. With `positions`
+    (B, Tq), query j of row b sees keys 0..positions[b, j]. Returns
+    (probs (B, H, Tq, Tk), out (B, H, Tq, e)).
     """
     tq, tk = q.shape[-2], k.shape[-2]
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= q.shape[-1] ** -0.5
-    if tq > 1:
+    if positions is not None:
+        scores += np.where(np.arange(tk) > positions[..., None], NEG_MASK, 0.0)[:, None]
+    elif tq > 1:
         scores += np.triu(np.full((tq, tk), NEG_MASK), k=tk - tq + 1)
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
@@ -302,11 +308,16 @@ def _query_blocks(t: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+def causal_attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, positions: Array | None = None
+) -> Tensor:
     """Multi-head causal attention of (B, Tq, d) queries over (B, Tk, d) keys and values.
 
-    Tk >= Tq: the queries are the last Tq positions, so query i sits at
-    position Tk - Tq + i, as in `attention_forward`. Returns (B, Tq, d).
+    Without `positions`, Tk >= Tq and the queries are the last Tq positions,
+    so query i sits at position Tk - Tq + i, as in `attention_forward`. With
+    `positions` (B, Tq), query j of row b sits at positions[b, j] < Tk and
+    sees keys 0..positions[b, j]; all queries then run as one block over the
+    keys the furthest one sees. Returns (B, Tq, d).
     """
     tape = _same_tape(q, k, v)
     shape = q.data.shape
@@ -315,21 +326,36 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         or k.data.ndim != 3
         or k.data.shape != v.data.shape
         or (k.data.shape[0], k.data.shape[2]) != (shape[0], shape[2])
-        or k.data.shape[1] < shape[1]
+        or (positions is None and k.data.shape[1] < shape[1])
         or shape[-1] % n_heads
     ):
         raise ContractViolation(
             f"causal_attention needs q (B, Tq, d) and equal k/v (B, Tk, d) with Tk >= Tq and d "
             f"divisible by {n_heads} heads, got {q.data.shape}, {k.data.shape}, {v.data.shape}"
         )
-    offset = k.data.shape[1] - shape[1]
     qh, kh, vh = (split_heads(z.data, n_heads) for z in (q, k, v))
-    blocks = _query_blocks(shape[1])
+    if positions is None:
+        offset = k.data.shape[1] - shape[1]
+        blocks = [(rows, offset + rows.stop) for rows in _query_blocks(shape[1])]
+    else:
+        positions = np.asarray(positions)
+        if (
+            positions.shape != shape[:2]
+            or not np.issubdtype(positions.dtype, np.integer)
+            or positions.min() < 0
+            or positions.max() >= k.data.shape[1]
+        ):
+            raise ContractViolation(
+                f"causal_attention positions must be integers (B, Tq) = {shape[:2]} in "
+                f"[0, {k.data.shape[1]}), got shape {positions.shape}"
+            )
+        blocks = [(slice(0, shape[1]), int(positions.max()) + 1)]
     out = np.empty(qh.shape)
-    probs = []  # per block, (B, H, rows, keys): rows see keys 0..offset+rows.stop-1
-    for rows in blocks:
-        keys = offset + rows.stop
-        p, out[..., rows, :] = attention_forward(qh[..., rows, :], kh[..., :keys, :], vh[..., :keys, :])
+    probs = []  # per block, (B, H, rows, keys): the block's rows see at most keys 0..keys-1
+    for rows, keys in blocks:
+        p, out[..., rows, :] = attention_forward(
+            qh[..., rows, :], kh[..., :keys, :], vh[..., :keys, :], positions
+        )
         probs.append(p)
     scale = qh.shape[-1] ** -0.5
 
@@ -339,8 +365,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         # The softmax backward subtracts rowsum(gp * p) from gp, the gradient
         # of p; that row sum equals rowsum(gh * out), a (T, e) product.
         inner = (gh * out).sum(axis=-1, keepdims=True)
-        for rows, p in zip(blocks, probs):
-            keys = offset + rows.stop
+        for (rows, keys), p in zip(blocks, probs):
             g_rows = gh[..., rows, :]
             gs = g_rows @ np.swapaxes(vh[..., :keys, :], -1, -2)
             gs -= inner[..., rows, :]
@@ -498,6 +523,36 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         backward_fn,
         any(t.requires for t in tensors),
     )
+
+
+def column_window(x: Tensor, starts, width: int) -> Tensor:
+    """Columns starts[b]..starts[b] + width - 1 of each row b of x (B, T, ...) -> (B, width, ...).
+
+    `starts` is one int, a plain slice of every row, or (B,) ints.
+    """
+    shape = x.data.shape
+    starts = np.asarray(starts)
+    if (
+        len(shape) < 2
+        or not np.issubdtype(starts.dtype, np.integer)
+        or starts.shape not in ((), shape[:1])
+        or width < 1
+        or starts.min() < 0
+        or starts.max() + width > shape[1]
+    ):
+        raise ContractViolation(f"column_window of width {width} from {starts} does not fit x {shape}")
+    if starts.ndim == 0:
+        index = (slice(None), slice(int(starts), int(starts) + width))
+    else:
+        index = (np.arange(shape[0])[:, None], starts[:, None] + np.arange(width))
+    out = x.data[index]
+
+    def backward_fn(g: Array):
+        gx = np.zeros(shape)
+        gx[index] = g  # a window holds each (row, column) once
+        return (gx,)
+
+    return x.tape._record(out, (x.node_id,), backward_fn, x.requires)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

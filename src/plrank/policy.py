@@ -13,7 +13,8 @@ Both paths run the columns a batch's rows share (`shared_prefix_length`: a
 slate's profile and history) once, at batch 1, then only each row's rest:
 `generate` copies the shared keys and values into every row's cache, and
 `forward_hidden_tape(..., shared=S)` lets the rows' suffixes attend to them
-through `broadcast_to`.
+through `broadcast_to`. The tape's last layer runs its queries, attention
+and MLP only at the columns a caller reads (`window`).
 """
 from __future__ import annotations
 
@@ -247,15 +248,18 @@ def _tape_embed(pt: dict[str, Tensor], ids: np.ndarray, start: int, d: int) -> T
     return ad.add(tok, ad.broadcast_to(ad.reshape(pos, (1, t, d)), (b, t, d)))
 
 
-def _tape_layer(pt: dict[str, Tensor], p: str, x: Tensor, q: Tensor, k: Tensor, v: Tensor, n_heads: int):
+def _tape_layer(
+    pt: dict[str, Tensor], p: str, x: Tensor, q: Tensor, k: Tensor, v: Tensor, n_heads: int, positions=None
+):
     """The rest of a decoder layer once its projections are made: attention, then the MLP."""
-    x = ad.add(x, ad.linear(ad.causal_attention(q, k, v, n_heads), pt[p + "wo"], pt[p + "bo"]))
+    attended = ad.causal_attention(q, k, v, n_heads, positions=positions)
+    x = ad.add(x, ad.linear(attended, pt[p + "wo"], pt[p + "bo"]))
     inner = ad.relu(ad.linear(x, pt[p + "w1"], pt[p + "b1"]))
     return ad.add(x, ad.linear(inner, pt[p + "w2"], pt[p + "b2"]))
 
 
 def forward_hidden_tape(
-    pt: dict[str, Tensor], ids: np.ndarray, cfg: PolicyConfig, shared: int = 0
+    pt: dict[str, Tensor], ids: np.ndarray, cfg: PolicyConfig, shared: int = 0, window=None
 ) -> Tensor:
     """Last-layer hidden states (B, T - shared, d) of columns shared..T-1 of ids (B, T).
 
@@ -263,6 +267,14 @@ def forward_hidden_tape(
     at batch 1; each layer hands their keys and values to the (B, T - shared)
     rest through `broadcast_to`, whose backward sums the rows' gradients. With
     `shared` = 0 every row runs whole.
+
+    A `window` (starts, W) is the columns a caller reads: starts[b]..starts[b]
+    + W - 1 of row b, all at or past `shared`, with `starts` one int for every
+    row or (B,) ints. Every layer but the last runs all columns; the last
+    projects keys and values at all of them, but queries, attention and the
+    MLP only at the window's, and the result is (B, W, d). A window that ends
+    at column T - 1 in every row is a plain slice whose queries are the last
+    W positions; any other attends by each query's own position.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -272,20 +284,28 @@ def forward_hidden_tape(
         raise ContractViolation(f"sequence length {t} exceeds max_len {cfg.max_len}")
     if not 0 <= shared < t or (ids[:, :shared] != ids[:1, :shared]).any():
         raise ContractViolation(f"the first {shared} of {t} columns are not shared by every row")
+    positions = None
+    if window is not None:
+        starts, width = np.asarray(window[0]), window[1]
+        if starts.ndim or starts + width < t:
+            positions = np.broadcast_to(starts[..., None] + np.arange(width), (b, width))
     d = cfg.d_model
     x = _tape_embed(pt, ids[:, shared:], shared, d)
     xs = _tape_embed(pt, ids[:1, :shared], 0, d) if shared else None
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        q, k, v = (ad.linear(x, pt[p + "w" + n], pt[p + "b" + n]) for n in "qkv")
+        last = i + 1 == cfg.n_layers
+        xq = ad.column_window(x, starts - shared, width) if last and window is not None else x
+        q = ad.linear(xq, pt[p + "wq"], pt[p + "bq"])
+        k, v = (ad.linear(x, pt[p + "w" + n], pt[p + "b" + n]) for n in "kv")
         if xs is not None:
             qs, ks, vs = (ad.linear(xs, pt[p + "w" + n], pt[p + "b" + n]) for n in "qkv")
             k, v = (
                 ad.concat([ad.broadcast_to(zs, (b, shared, d)), z], axis=1) for zs, z in ((ks, k), (vs, v))
             )
             # the last layer's shared rows feed no later keys or values
-            xs = _tape_layer(pt, p, xs, qs, ks, vs, cfg.n_heads) if i + 1 < cfg.n_layers else None
-        x = _tape_layer(pt, p, x, q, k, v, cfg.n_heads)
+            xs = _tape_layer(pt, p, xs, qs, ks, vs, cfg.n_heads) if not last else None
+        x = _tape_layer(pt, p, xq, q, k, v, cfg.n_heads, positions if last else None)
     return x
 
 
@@ -321,9 +341,15 @@ def sequence_log_probs_tape(
     ids: np.ndarray,
     rows: np.ndarray,
     positions: np.ndarray,
+    starts=0,
 ) -> Tensor:
-    """Log-probs (N,) of the tokens ids[rows, positions + 1], teacher-forced."""
-    picked = gather_positions_tape(hidden, rows, positions)
+    """Log-probs (N,) of the tokens ids[rows, positions + 1], teacher-forced.
+
+    `hidden` holds each row's columns from its start on, as in
+    `forward_hidden_tape`'s window: `starts` is one int or (B,) ints.
+    """
+    columns = positions - (starts[rows] if np.ndim(starts) else starts)
+    picked = gather_positions_tape(hidden, rows, columns)
     log_probs = ad.log_softmax(ad.linear(picked, pt["out.w"], pt["out.b"]), axis=-1)
     n, v = log_probs.shape
     flat = ad.reshape(log_probs, (n * v,))

@@ -9,8 +9,8 @@ back into the policy trunk). Every random draw comes from a keyed substream,
 so runs are bit-reproducible and per-item draws never depend on slate order.
 
 The update's tape pass runs an instance's shared user prefix once, at batch
-1, and its K candidate rows only from there on (`instance_objectives`), so
-the token positions it reads are shifted by the shared length.
+1, and its K candidate rows only from there on (`instance_objectives`); its
+last layer, like SFT's, runs only at the columns the objectives read.
 """
 from __future__ import annotations
 
@@ -113,7 +113,13 @@ class TrainConfig(SftConfig):
 
 
 class Adam:
-    """Per-tensor Adam with separate policy and head learning rates."""
+    """Adam with separate policy and head learning rates, as one vector.
+
+    A step concatenates the gradients of the names it is given, in sorted
+    order, and updates flat moment buffers with the per-tensor formula;
+    `m[name]` and `v[name]` are views into those buffers. A step over other
+    names than the last lays the buffers out again, keeping every moment.
+    """
 
     def __init__(
         self,
@@ -130,17 +136,39 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._names: tuple[str, ...] = ()
+
+    def _lay_out(self, names: tuple[str, ...]) -> None:
+        self._names = names
+        self._bounds = np.cumsum([0] + [self.m[name].size for name in names])
+        self._flat_m, self._flat_v = (
+            np.concatenate([moments[name].ravel() for name in names]) for moments in (self.m, self.v)
+        )
+        for name, lo, hi in zip(names, self._bounds, self._bounds[1:]):
+            shape = self.m[name].shape
+            self.m[name] = self._flat_m[lo:hi].reshape(shape)
+            self.v[name] = self._flat_v[lo:hi].reshape(shape)
+        self._lr = np.concatenate([
+            np.full(self.m[name].size, self.lr_head if is_head_param(name) else self.lr_policy)
+            for name in names
+        ])
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name in sorted(grads):
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            lr = self.lr_head if is_head_param(name) else self.lr_policy
-            params[name] -= lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
+        names = tuple(sorted(grads))
+        if names != self._names:
+            self._lay_out(names)
+        g = np.concatenate([grads[name].ravel() for name in names])
+        m, v = self._flat_m, self._flat_v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = self._lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for name, lo, hi in zip(names, self._bounds, self._bounds[1:]):
+            params[name] -= update[lo:hi].reshape(params[name].shape)
 
 
 class MetricsWriter:
@@ -200,7 +228,9 @@ def sft_batch_loss(
     Rows run in length classes: rows whose length has the same ceil(log2)
     share one padded pass, in batch order, so no row is padded to more than
     twice its length. The loss agrees with one padded pass over the whole
-    batch up to the grouping of its sums.
+    batch up to the grouping of its sums. The last layer runs only at the
+    columns the loss reads: W, the class's longest target, per row, ending at
+    the row's last predicting column.
     """
     if not batch:
         raise ContractViolation("sft batch is empty")
@@ -212,8 +242,12 @@ def sft_batch_loss(
     for c in np.unique(classes):
         members = [batch[i] for i in np.flatnonzero(classes == c)]
         ids, rows, positions = pack_rows([ex.prefix for ex in members], [ex.target for ex in members], eos)
-        hidden = forward_hidden_tape(pt, ids, pcfg)
-        parts.append(sequence_log_probs_tape(pt, hidden, ids, rows, positions))
+        targets = np.array([ex.target.size for ex in members])
+        width = int(targets.max())
+        lengths = np.array([ex.prefix.size for ex in members]) + targets
+        starts = np.maximum(lengths - 1 - width, 0)
+        hidden = forward_hidden_tape(pt, ids, pcfg, window=(starts, width))
+        parts.append(sequence_log_probs_tape(pt, hidden, ids, rows, positions, starts))
     n_targets = sum(ex.target.size for ex in batch)
     loss = ad.scale(ad.asum(ad.concat(parts)), -1.0 / n_targets)
     if not train:
@@ -384,8 +418,10 @@ def instance_objectives(
     Returns (token objective, ranking objective, per-token ratios (N,) of
     live to sampling-time probabilities); the first and last are None when
     the policy is frozen. Both objectives are to be maximized. The columns
-    every row's prefix shares (the user's part) run once, at batch 1, so the
-    hidden states and positions start at column S. A frozen policy runs no
+    every row's prefix shares (the user's part) run once, at batch 1, and
+    the last layer runs only from the last prefix column P - 1 on, the
+    columns every generated token and final hidden state is read at; the
+    hidden states start there. A frozen policy runs no
     trunk at all: its weights are the rollout's, so the head reads the
     rollout's final hidden states as constants.
     """
@@ -394,14 +430,16 @@ def instance_objectives(
     ratio: Tensor | None = None
     if tcfg.joint:
         s = shared_prefix_length(record.ids[:, : record.prefix_len])
-        hidden = forward_hidden_tape(pt, record.ids, pcfg, shared=s)
+        start = record.prefix_len - 1  # where the first generated token is predicted from
+        window = (start, record.ids.shape[1] - start)
+        hidden = forward_hidden_tape(pt, record.ids, pcfg, shared=s, window=window)
         advantage = float(record.rewards.mean())
-        lp_live = sequence_log_probs_tape(pt, hidden, record.ids[:, s:], record.rows, record.positions - s)
+        lp_live = sequence_log_probs_tape(pt, hidden, record.ids, record.rows, record.positions, start)
         ratio = ad.exp(ad.add(lp_live, tape.constant(-record.logprobs_old)))
         unclipped = ad.scale(ratio, advantage)
         clipped = ad.scale(ad.clip(ratio, 1.0 - tcfg.epsilon, 1.0 + tcfg.epsilon), advantage)
         ppo_obj = ad.mean(ad.minimum(unclipped, clipped))
-        finals = gather_positions_tape(hidden, np.arange(record.ids.shape[0]), record.final_positions - s)
+        finals = gather_positions_tape(hidden, np.arange(record.ids.shape[0]), record.final_positions - start)
     else:
         finals = tape.constant(np.stack([r.final_hidden for r in record.rationales]))
     scores_rows = head_score_tape(pt, finals)

@@ -272,6 +272,19 @@ def _battery():
         return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read12)))
 
     cases.append((f12, [q12, k12, v12]))
+
+    # 13. per-row windows of 3 columns read from (2, 7, 4) queries, attending
+    # by each query's own position
+    q13, k13, v13 = rng.normal(size=(3, 2, 7, 4))
+    starts13 = np.array([1, 3])
+    positions13 = starts13[:, None] + np.arange(3)
+    read13 = rng.normal(size=(2, 3, 4))
+
+    def f13(ql, kl, vl):
+        out = ad.causal_attention(ad.column_window(ql, starts13, 3), kl, vl, 2, positions=positions13)
+        return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read13)))
+
+    cases.append((f13, [q13, k13, v13]))
     return cases
 
 
@@ -393,6 +406,12 @@ def test_fused_ops_reject_bad_shapes():
         ad.causal_attention(q, tape.leaf(np.ones((2, 5, 6))), tape.leaf(np.ones((2, 5, 6))), 2)
     with pytest.raises(ContractViolation):  # k/v width differs from q's
         ad.causal_attention(q, tape.leaf(np.ones((1, 5, 4))), tape.leaf(np.ones((1, 5, 4))), 2)
+    for bad in ([[0, 1, 2]], [[0, 1, 2, 5]], [[-1, 0, 1, 2]], [[0.0, 1.0, 2.0, 3.0]]):
+        with pytest.raises(ContractViolation):  # positions of the wrong shape, range or type
+            ad.causal_attention(q, longer, longer, 2, positions=np.array(bad))
+    for starts, width in ((np.array([0, 1]), 2), (4, 1), (-1, 2), (0, 0), (np.array([1.0]), 2)):
+        with pytest.raises(ContractViolation):  # windows past the columns, or of no columns
+            ad.column_window(q, starts, width)
 
 
 def test_attention_of_the_last_queries_matches_the_full_rows():

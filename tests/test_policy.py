@@ -194,6 +194,47 @@ def test_long_sequences_agree_across_attention_blocks():
         assert np.max(np.abs(h - full[:, pos])) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "prefixes, targets, shared, starts, width",
+    [
+        # one class with rows of different target lengths, each window ending
+        # at its row's last predicting column
+        ((6, 9, 7), (2, 5, 3), 0, np.array([2, 8, 4]), 5),
+        ((10,), (4,), 0, np.array([9]), 4),  # a one-row class
+        ((1, 3), (2, 5), 0, np.array([0, 2]), 5),  # a window from column 0
+        # RL: the rows share 5 columns and read the suffix from the last prefix column
+        ((7, 7, 7), (3, 1, 2), 5, 6, 4),
+    ],
+)
+def test_window_matches_the_full_pass(prefixes, targets, shared, starts, width):
+    params = tiny_params(8)
+    rng = substream(9, "window")
+    v = TINY.vocab().size
+    common = rng.integers(0, v, shared)
+    ids, _, _ = pack_rows(
+        [np.concatenate([common, rng.integers(0, v, n - shared)]) for n in prefixes],
+        [rng.integers(0, v, n) for n in targets],
+        TINY.vocab().EOS,
+    )
+    readout = rng.normal(size=(ids.shape[0], width, TINY.d_model))
+
+    def run(hidden_of):
+        tape = Tape()
+        pt = lift_params(tape, params)
+        hidden = hidden_of(pt)
+        grads = tape.backward(ad.asum(ad.mul(hidden, tape.constant(readout))))
+        return hidden.data, {name: grads[t.node_id] for name, t in pt.items()}
+
+    got, grads = run(lambda pt: forward_hidden_tape(pt, ids, TINY, shared, (starts, width)))
+    want, ref_grads = run(lambda pt: ad.column_window(forward_hidden_tape(pt, ids, TINY), starts, width))
+    assert got.shape == (ids.shape[0], width, TINY.d_model)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for name, g in ref_grads.items():
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12, name
+    with pytest.raises(ContractViolation):
+        forward_hidden_tape(lift_params(Tape(), params), ids, TINY, shared, (starts, ids.shape[1]))
+
+
 def test_causal_masking_is_bit_exact():
     params = tiny_params(5)
     rng = substream(3, "ids")

@@ -14,6 +14,7 @@ from plrank.autodiff import Tape
 from plrank.errors import ConfigError, TrainingDiverged
 from plrank.policy import (
     PolicyConfig,
+    clone_params,
     forward_hidden_tape,
     gather_positions_tape,
     head_score_tape,
@@ -106,6 +107,35 @@ def test_adam_minimizes_quadratic():
     for _ in range(300):
         opt.step(params, {"w": 2.0 * params["w"]})
     assert np.all(np.abs(params["w"]) < 1e-2)
+
+
+def test_flat_adam_matches_the_per_tensor_formula():
+    params = fresh_params(3)
+    policy_names = {n for n in params if not is_head_param(n)}
+    head_names = {n for n in params if is_head_param(n)}
+    # SFT trains the policy only, joint RL every name, frozen RL the head
+    # only; the last schedule switches sets on one optimizer
+    schedules = ([policy_names] * 12, [set(params)] * 12, [head_names] * 12,
+                 [policy_names, set(params), head_names, set(params)] * 3)
+    for schedule in schedules:
+        flat, ref = clone_params(params), clone_params(params)
+        opt = Adam(flat, 3e-3, 1e-2)
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        for t, names in enumerate(schedule, start=1):
+            rng = substream(t, "adam")
+            grads = {name: rng.normal(size=params[name].shape) for name in sorted(names)}
+            opt.step(flat, grads)
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for name in sorted(grads):  # the per-tensor reference
+                g = grads[name]
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                lr = 1e-2 if is_head_param(name) else 3e-3
+                ref[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
+            for name in params:
+                assert np.array_equal(flat[name], ref[name]), (t, name)
+                assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name])
 
 
 def test_metrics_writer_format(tmp_path):
@@ -220,14 +250,32 @@ def test_sft_pass_pads_at_most_twice_the_real_tokens(monkeypatch):
     shapes = []
     forward = plrank.training.forward_hidden_tape
 
-    def spy(pt, ids, cfg, shared=0):
+    def spy(pt, ids, cfg, shared=0, window=None):
         shapes.append(ids.shape)
-        return forward(pt, ids, cfg, shared)
+        return forward(pt, ids, cfg, shared, window)
 
     monkeypatch.setattr(plrank.training, "forward_hidden_tape", spy)
     sft_batch_loss(fresh_params(), batch, PCFG)
     assert sum(b for b, _ in shapes) == len(batch)
     assert sum(b * t for b, t in shapes) <= 2 * real
+
+
+def test_sft_last_layer_runs_only_the_read_columns(monkeypatch):
+    batch = _ragged_batch(8, (0, 0, 0, 8, 1, 0, 3))
+    classes = sorted({_length_class(ex) for ex in batch})
+    widths = [max(ex.target.size for ex in batch if _length_class(ex) == c) for c in classes]
+    queries = []
+    attention = ad.causal_attention
+
+    def spy(q, k, v, n_heads, **positions):
+        queries.append(q.shape[1])
+        return attention(q, k, v, n_heads, **positions)
+
+    monkeypatch.setattr(ad, "causal_attention", spy)
+    sft_batch_loss(fresh_params(), batch, PCFG)
+    assert len(queries) == len(classes) * PCFG.n_layers
+    last = queries[PCFG.n_layers - 1 :: PCFG.n_layers]
+    assert all(n <= w for n, w in zip(last, widths)), (last, widths)
 
 
 def test_sft_training_reduces_loss():
@@ -528,6 +576,12 @@ def test_shared_tape_pass_matches_full_rows(monkeypatch):
     def full(prefix):  # the reference: every row runs whole
         return 0
 
+    forward = plrank.training.forward_hidden_tape
+
+    def whole(pt, ids, cfg, shared=0, window=None):  # ... at every column of the last layer too
+        start, width = window
+        return ad.column_window(forward(pt, ids, cfg, shared), start - shared, width)
+
     for n_events, cot, joint in itertools.product((0, 1, 3), (True, False), (True, False)):
         inst = _with_history(instances[n_events], n_events)
         tcfg = TrainConfig(rankings_per_instance=3, cot=cot, joint=joint)
@@ -535,8 +589,9 @@ def test_shared_tape_pass_matches_full_rows(monkeypatch):
         s = shared_prefix_length(rec.ids[:, : rec.prefix_len])
         assert PCFG.m * (n_events + 1) <= s < rec.prefix_len
 
-        def objective(shared_rule):
+        def objective(shared_rule, forward_rule):
             monkeypatch.setattr(plrank.training, "shared_prefix_length", shared_rule)
+            monkeypatch.setattr(plrank.training, "forward_hidden_tape", forward_rule)
             tape = Tape()
             pt = lift_params(tape, params, train_policy=joint, train_head=True)
             ppo_obj, head_obj, ratio = instance_objectives(pt, rec, tcfg, PCFG)
@@ -546,26 +601,30 @@ def test_shared_tape_pass_matches_full_rows(monkeypatch):
         calls = []
         attention = ad.causal_attention
 
-        def recording(q, k, v, n_heads):
-            calls.append((q.shape, k.shape))
-            return attention(q, k, v, n_heads)
+        def recording(q, k, v, n_heads, positions=None):
+            calls.append((q.shape, k.shape, positions))
+            return attention(q, k, v, n_heads, positions)
 
         monkeypatch.setattr(ad, "causal_attention", recording)
-        loss, ratio, grads = objective(shared_prefix_length)
+        loss, ratio, grads = objective(shared_prefix_length, forward)
         monkeypatch.setattr(ad, "causal_attention", attention)
         k, t = rec.ids.shape
         d = PCFG.d_model
+        p = rec.prefix_len
         # the shared columns run at batch 1 in every layer but the last, whose
-        # shared rows feed nothing; the K rows run only their suffixes. A
-        # frozen policy runs no trunk.
+        # shared rows feed nothing; the K rows run only their suffixes, and
+        # the last layer's queries only from the last prefix column on, as
+        # the last T - (P - 1) positions. A frozen policy runs no trunk.
         expected = []
         for layer in range(PCFG.n_layers):
             if layer + 1 < PCFG.n_layers:
-                expected.append(((1, s, d), (1, s, d)))
-            expected.append(((k, t - s, d), (k, t, d)))
+                expected.append(((1, s, d), (1, s, d), None))
+                expected.append(((k, t - s, d), (k, t, d), None))
+            else:
+                expected.append(((k, t - (p - 1), d), (k, t, d), None))
         assert calls == (expected if joint else [])
 
-        ref_loss, ref_ratio, ref_grads = objective(full)
+        ref_loss, ref_ratio, ref_grads = objective(full, whole)
         assert abs(loss - ref_loss) <= 1e-12
         if joint:
             assert np.max(np.abs(ratio - ref_ratio)) <= 1e-12
