@@ -578,7 +578,7 @@ def test_shared_tape_pass_matches_full_rows(monkeypatch):
 
     forward = plrank.training.forward_hidden_tape
 
-    def whole(pt, ids, cfg, shared=0, window=None):  # ... at every column of the last layer too
+    def whole(pt, ids, cfg, shared=0, window=None):  # the reference's last layer runs every column
         start, width = window
         return ad.column_window(forward(pt, ids, cfg, shared), start - shared, width)
 
