@@ -15,6 +15,8 @@ that only the cyclic garbage collector could free.
 """
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,6 +271,14 @@ def merge_heads(x: Array) -> Array:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * e)
 
 
+@lru_cache(maxsize=None)
+def _causal_mask(t: int) -> Array:
+    """(t, t) additive mask, NEG_MASK above the diagonal; read-only, made once per t."""
+    mask = np.triu(np.full((t, t), NEG_MASK), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def attention_forward(
     q: Array, k: Array, v: Array, positions: Array | None = None
 ) -> tuple[Array, Array]:
@@ -286,7 +296,8 @@ def attention_forward(
     if positions is not None:
         scores += np.where(np.arange(tk) > positions[..., None], NEG_MASK, 0.0)[:, None]
     elif tq > 1:
-        scores += np.triu(np.full((tq, tk), NEG_MASK), k=tk - tq + 1)
+        # every query sees keys 0..Tk - Tq, so only the last Tq columns need a mask
+        scores[..., tk - tq :] += _causal_mask(tq)
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -498,10 +509,12 @@ def index_select(table: Tensor, indices) -> Tensor:
     shape = table.data.shape
 
     def backward_fn(g: Array):
-        gt = np.zeros(shape)
-        flat_idx = idx.reshape(-1)
-        np.add.at(gt, flat_idx, g.reshape(flat_idx.shape[0], *shape[1:]))
-        return (gt,)
+        # One bincount over the flat index of every picked element (a negative
+        # pick counts from the end, as in the forward). It sums each element's
+        # gradients in pick order, as np.add.at would, so bit for bit.
+        width = math.prod(shape[1:])
+        cells = ((idx.reshape(-1, 1) % shape[0]) * width + np.arange(width)).reshape(-1)
+        return (np.bincount(cells, weights=g.reshape(-1), minlength=shape[0] * width).reshape(shape),)
 
     return table.tape._record(out, (table.node_id,), backward_fn, table.requires)
 

@@ -33,7 +33,6 @@ from .autodiff import (
     attention_forward,
     linear_forward,
     merge_heads,
-    split_heads,
 )
 from .errors import ConfigError, ContractViolation, DataFormatError
 from .world import CandidateItem, UserContext
@@ -84,18 +83,8 @@ class Vocab:
         rel = token - self._BASE
         return rel // self.buckets, rel % self.buckets
 
-    def is_decision(self, token: int) -> bool:
-        return token in (self.RECOMMEND, self.NOT_RECOMMEND)
-
     def decision_token(self, decision: int) -> int:
         return self.RECOMMEND if decision else self.NOT_RECOMMEND
-
-    def decision_value(self, token: int) -> int | None:
-        if token == self.RECOMMEND:
-            return 1
-        if token == self.NOT_RECOMMEND:
-            return 0
-        return None
 
 
 @dataclass(frozen=True)
@@ -373,37 +362,49 @@ def _np_log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class DecodeState:
-    """Per-layer attention inputs for already-processed positions."""
+    """Each layer's keys and values for already-processed positions.
+
+    `kv[i]` is layer i's (B, 2, H, max_len, e) array: keys at [:, 0], values
+    at [:, 1], so a layer writes both with one assignment per step.
+    """
 
     def __init__(self, cfg: PolicyConfig, batch: int):
         self.length = 0
-        self.keys = [
-            np.empty((batch, cfg.n_heads, cfg.max_len, cfg.head_dim)) for _ in range(cfg.n_layers)
-        ]
-        self.values = [
-            np.empty((batch, cfg.n_heads, cfg.max_len, cfg.head_dim)) for _ in range(cfg.n_layers)
+        self.kv = [
+            np.empty((batch, 2, cfg.n_heads, cfg.max_len, cfg.head_dim)) for _ in range(cfg.n_layers)
         ]
 
 
-def _np_layers(params, x: np.ndarray, cfg: PolicyConfig, state: DecodeState | None, start: int):
+def fused_qkv(params, cfg: PolicyConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's [wq|wk|wv] (d, 3d) and [bq|bk|bv] (3d,): one projection makes Q, K and V."""
+    return [
+        tuple(np.concatenate([params[f"layers.{i}.{kind}{n}"] for n in "qkv"], axis=-1) for kind in "wb")
+        for i in range(cfg.n_layers)
+    ]
+
+
+def _np_layers(
+    params, qkv, x: np.ndarray, cfg: PolicyConfig, state: DecodeState | None, start: int, last: bool = True
+):
     """Every decoder layer over x (B, T, d) holding positions start..start+T-1.
 
-    With a state, each layer writes its keys and values there and the queries
-    attend to every cached position; without one, start must be 0.
+    `qkv` is `fused_qkv(params, cfg)`. With a state, each layer writes its keys
+    and values there and the queries attend to every cached position; without
+    one, start must be 0. Without `last` the last layer only writes its keys
+    and values, and the result is None: nothing reads its queries' output.
     """
-    t = x.shape[1]
-    for i in range(cfg.n_layers):
+    b, t = x.shape[:2]
+    for i, (w, bias) in enumerate(qkv):
         p = f"layers.{i}."
-        q, k, v = (
-            split_heads(linear_forward(x, params[p + "w" + n], params[p + "b" + n]), cfg.n_heads)
-            for n in "qkv"
-        )
+        # (B, T, 3d) -> (B, 3, H, T, e): queries at [:, 0], keys and values at [:, 1:]
+        heads = linear_forward(x, w, bias).reshape(b, t, 3, cfg.n_heads, -1).transpose(0, 2, 3, 1, 4)
+        kv = heads[:, 1:]
         if state is not None:
-            state.keys[i][:, :, start : start + t] = k
-            state.values[i][:, :, start : start + t] = v
-            k = state.keys[i][:, :, : start + t]
-            v = state.values[i][:, :, : start + t]
-        _, ctx = attention_forward(q, k, v)
+            state.kv[i][:, :, :, start : start + t] = kv
+            kv = state.kv[i][:, :, :, : start + t]
+            if not last and i + 1 == cfg.n_layers:
+                return None
+        _, ctx = attention_forward(heads[:, 0], kv[:, 0], kv[:, 1])
         x = x + linear_forward(merge_heads(ctx), params[p + "wo"], params[p + "bo"])
         inner = np.maximum(linear_forward(x, params[p + "w1"], params[p + "b1"]), 0.0)
         x = x + linear_forward(inner, params[p + "w2"], params[p + "b2"])
@@ -411,12 +412,20 @@ def _np_layers(params, x: np.ndarray, cfg: PolicyConfig, state: DecodeState | No
 
 
 def _np_forward(
-    params, ids: np.ndarray, cfg: PolicyConfig, state: DecodeState | None = None, start: int = 0
+    params,
+    ids: np.ndarray,
+    cfg: PolicyConfig,
+    state: DecodeState | None = None,
+    start: int = 0,
+    qkv=None,
+    last: bool = True,
 ):
     """Numpy forward (prefill) of ids (B, T) at positions start..start+T-1.
 
     With `start` > 0 the state must already hold positions 0..start-1, and
-    the ids attend to them. Returns last-layer hidden states (B, T, d).
+    the ids attend to them. Returns last-layer hidden states (B, T, d), or,
+    without `last`, only fills the state and returns None. `qkv` is
+    `fused_qkv(params, cfg)`, made here when not given.
     """
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     t = ids.shape[1]
@@ -424,19 +433,22 @@ def _np_forward(
         raise ContractViolation(f"sequence length {start + t} exceeds max_len {cfg.max_len}")
     if start and (state is None or state.length != start):
         raise ContractViolation(f"prefill from position {start} needs a state holding 0..{start - 1}")
-    x = _np_layers(params, params["emb"][ids] + params["pos"][start : start + t], cfg, state, start)
+    if not last and state is None:
+        raise ContractViolation("a prefill without the last layer's output needs a state to fill")
+    x = params["emb"][ids] + params["pos"][start : start + t]
+    x = _np_layers(params, qkv or fused_qkv(params, cfg), x, cfg, state, start, last)
     if state is not None:
         state.length = start + t
     return x
 
 
-def _np_decode_step(params, state: DecodeState, tokens: np.ndarray, cfg: PolicyConfig):
+def _np_decode_step(params, state: DecodeState, tokens: np.ndarray, cfg: PolicyConfig, qkv=None):
     """Process one new token per row; returns hidden (B, d) at the new position."""
     t = state.length
     if t + 1 > cfg.max_len:
         raise ContractViolation(f"decode past max_len {cfg.max_len}")
     x = params["emb"][tokens][:, None, :] + params["pos"][t]
-    x = _np_layers(params, x, cfg, state, t)
+    x = _np_layers(params, qkv or fused_qkv(params, cfg), x, cfg, state, t)
     state.length = t + 1
     return x[:, 0]
 
@@ -452,10 +464,11 @@ class Rationale:
 
     def decision(self, vocab: Vocab) -> int | None:
         """The unique decision value, or None if absent/ambiguous."""
-        found = [vocab.decision_value(int(t)) for t in self.tokens if vocab.is_decision(int(t))]
-        if len(found) != 1:
+        recommend = self.tokens == vocab.RECOMMEND
+        found = np.flatnonzero(recommend | (self.tokens == vocab.NOT_RECOMMEND))
+        if found.size != 1:
             return None
-        return found[0]
+        return int(recommend[found[0]])
 
 
 def generate(
@@ -469,67 +482,70 @@ def generate(
     """Decode one rationale per prefix row, for at most `cfg.max_gen` tokens.
 
     `prefix` is (B, T_p); `rngs` is one Generator per row to sample at
-    temperature 1, or None to decode by argmax. The S leading columns on
-    which all B > 1 rows agree (S < T_p) are prefilled once, at batch 1,
-    and their keys and values copied to every row; then only the (B, T_p - S)
-    remainder is prefilled. A slate's rows share the user's profile and
-    history this way. Without `cot` a row may write one decision token, then
-    only EOS. Recorded token log-probs are the temperature-1 policy's, which
-    is what PPO ratios and teacher-forced re-evaluation use.
+    temperature 1, or None to decode by argmax. Each row draws its max_gen
+    uniforms at once, `rngs[row].random(max_gen)`, and its k-th token reads
+    the k-th; so every row's generator moves on by exactly max_gen draws,
+    however early the row stops. The S leading columns on which all B > 1
+    rows agree (S < T_p) are prefilled once, at batch 1, and their keys and
+    values copied to every row; then only the (B, T_p - S) remainder is
+    prefilled. A slate's rows share the user's profile and history this way.
+    Without `cot` a row may write one decision token, then only EOS. Recorded
+    token log-probs are the temperature-1 policy's, which is what PPO ratios
+    and teacher-forced re-evaluation use.
     """
     prefix = np.atleast_2d(np.asarray(prefix, dtype=np.int64))
     b, t_p = prefix.shape
-    if t_p + cfg.max_gen > cfg.max_len:
-        raise ContractViolation(
-            f"prefix length {t_p} + max_gen {cfg.max_gen} exceeds max_len {cfg.max_len}"
-        )
+    g = cfg.max_gen
+    if t_p + g > cfg.max_len:
+        raise ContractViolation(f"prefix length {t_p} + max_gen {g} exceeds max_len {cfg.max_len}")
     if rngs is not None and len(rngs) != b:
         raise ContractViolation(f"need one rng per row, got {len(rngs)} for {b} rows")
+    qkv = fused_qkv(params, cfg)
     state = DecodeState(cfg, b)
     s = shared_prefix_length(prefix)
     if s:
         shared = DecodeState(cfg, 1)
-        _np_forward(params, prefix[:1, :s], cfg, shared)
-        for cache, part in zip(state.keys + state.values, shared.keys + shared.values):
-            cache[:, :, :s] = part[:, :, :s]
+        _np_forward(params, prefix[:1, :s], cfg, shared, qkv=qkv, last=False)
+        for cache, part in zip(state.kv, shared.kv):
+            cache[..., :s, :] = part[..., :s, :]
         state.length = s
-    hidden = _np_forward(params, prefix[:, s:], cfg, state, s)[:, -1, :]
-    tokens = np.full((b, cfg.max_gen), vocab.EOS, dtype=np.int64)
-    logprobs = np.zeros((b, cfg.max_gen))
-    lengths = np.zeros(b, dtype=np.int64)
+    hidden = _np_forward(params, prefix[:, s:], cfg, state, s, qkv=qkv)[:, -1, :]
+    uniforms = None if rngs is None else np.stack([rng.random(g) for rng in rngs])
+    if not cot:
+        # allowed[decided[row]]: EOS, and one decision token until the row has written one
+        allowed = np.zeros((2, vocab.size), dtype=bool)
+        allowed[:, vocab.EOS] = True
+        allowed[0, [vocab.RECOMMEND, vocab.NOT_RECOMMEND]] = True
+        decided = np.zeros(b, dtype=np.int64)
+    logits = np.empty((g, b, vocab.size))
+    tokens = np.full((b, g), vocab.EOS, dtype=np.int64)
     final_hidden = np.zeros((b, cfg.d_model))
     active = np.ones(b, dtype=bool)
-    decided = np.zeros(b, dtype=bool)
-    for step in range(cfg.max_gen):
-        logits = linear_forward(hidden, params["out.w"], params["out.b"])
-        lp1 = _np_log_softmax(logits)
-        masked = logits.copy()
+    for step in range(g):
+        z = logits[step] = linear_forward(hidden, params["out.w"], params["out.b"])
         if not cot:
-            allow = np.zeros((b, vocab.size), dtype=bool)
-            allow[:, vocab.EOS] = True
-            allow[~decided, vocab.RECOMMEND] = True
-            allow[~decided, vocab.NOT_RECOMMEND] = True
-            masked[~allow] = NEG_MASK
-        rows = np.flatnonzero(active)
-        chosen = np.full(b, vocab.EOS, dtype=np.int64)
-        if rngs is None:
-            chosen[rows] = np.argmax(masked[rows], axis=-1)
+            z = np.where(allowed[decided], z, NEG_MASK)
+        if uniforms is None:
+            chosen = np.argmax(z, axis=-1)
         else:
-            z = masked - masked.max(axis=-1, keepdims=True)
-            cdf = np.cumsum(np.exp(z), axis=-1)[rows]
-            u = np.array([rngs[row].random() for row in rows]) * cdf[:, -1]
-            chosen[rows] = np.minimum((cdf <= u[:, None]).sum(axis=-1), vocab.size - 1)
-        tokens[rows, step] = chosen[rows]
-        logprobs[rows, step] = lp1[rows, chosen[rows]]
-        lengths[rows] = step + 1
-        decided |= (chosen == vocab.RECOMMEND) | (chosen == vocab.NOT_RECOMMEND)
-        hidden = _np_decode_step(params, state, chosen, cfg)
-        done = active & ((chosen == vocab.EOS) | (step == cfg.max_gen - 1))
-        final_hidden[done] = hidden[done]
+            cdf = np.cumsum(np.exp(z - z.max(axis=-1, keepdims=True)), axis=-1)
+            u = uniforms[:, step] * cdf[:, -1]
+            chosen = np.minimum((cdf <= u[:, None]).sum(axis=-1), vocab.size - 1)
+        chosen = tokens[:, step] = np.where(active, chosen, vocab.EOS)
+        if not cot:
+            decided |= (chosen == vocab.RECOMMEND) | (chosen == vocab.NOT_RECOMMEND)
+        hidden = _np_decode_step(params, state, chosen, cfg, qkv)
+        done = active & ((chosen == vocab.EOS) | (step == g - 1))
+        np.copyto(final_hidden, hidden, where=done[:, None])
         active &= ~done
         if not active.any():
             break
-    truncated = tokens[np.arange(b), lengths - 1] != vocab.EOS
+    steps = step + 1
+    ended = tokens == vocab.EOS
+    truncated = ~ended.any(axis=1)
+    lengths = np.where(truncated, g, ended.argmax(axis=1) + 1)
+    # (B, steps): each row's token log-prob at each step, from one log-softmax
+    logprobs = _np_log_softmax(logits[:steps])[np.arange(steps), np.arange(b)[:, None], tokens[:, :steps]]
     return [
         Rationale(tokens[row, :n], logprobs[row, :n], final_hidden[row], bool(truncated[row]))
         for row, n in enumerate(lengths)

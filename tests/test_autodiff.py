@@ -46,6 +46,21 @@ def test_index_select_backward_accumulates_duplicates():
     assert np.array_equal(grads[table.node_id], np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (7,)])
+def test_index_select_backward_is_bitwise_add_at(shape):
+    """The bincount scatter sums repeated picks in the order np.add.at does."""
+    rng = np.random.default_rng(12)
+    tape = Tape()
+    table = tape.leaf(rng.normal(size=shape), requires_grad=True)
+    idx = rng.integers(-shape[0], shape[0], size=(4, 9))  # many repeats, negative picks too
+    picked = ad.index_select(table, idx)
+    readout = rng.normal(size=picked.shape) * 10.0 ** rng.integers(-8, 8, size=picked.shape)
+    grads = tape.backward(ad.asum(ad.mul(picked, tape.constant(readout))))
+    want = np.zeros(shape)
+    np.add.at(want, idx.reshape(-1), readout.reshape(-1, *shape[1:]))
+    assert np.array_equal(grads[table.node_id], want)
+
+
 def test_gradient_accumulation_for_reused_tensor():
     tape = Tape()
     x = tape.leaf(np.array([2.0, -1.0]), requires_grad=True)

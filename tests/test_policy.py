@@ -61,8 +61,6 @@ def test_vocab_layout():
     assert v.attr_parts(v.SEP) is None
     assert v.decision_token(1) == v.RECOMMEND
     assert v.decision_token(0) == v.NOT_RECOMMEND
-    assert v.decision_value(v.RECOMMEND) == 1
-    assert v.decision_value(v.EOS) is None
     with pytest.raises(ContractViolation):
         v.attr(8, 0)
     with pytest.raises(ContractViolation):
@@ -263,7 +261,7 @@ def test_generation_decision_only_support():
         assert set(r.tokens.tolist()) <= {v.RECOMMEND, v.NOT_RECOMMEND, v.EOS}
         if len(r.tokens) == 2:
             assert r.tokens[1] == v.EOS
-            assert v.is_decision(int(r.tokens[0]))
+            assert r.tokens[0] in (v.RECOMMEND, v.NOT_RECOMMEND)
         assert not r.truncated
         assert r.token_logprobs.shape == r.tokens.shape
         assert np.all(r.token_logprobs <= 0.0)
@@ -375,6 +373,8 @@ def test_rationale_decision_helper():
     assert mk([v.NOT_RECOMMEND, v.EOS]).decision(v) == 0
     assert mk([v.EOS]).decision(v) is None
     assert mk([v.RECOMMEND, v.NOT_RECOMMEND, v.EOS]).decision(v) is None
+    assert mk([v.RECOMMEND, v.attr(0, 1), v.RECOMMEND]).decision(v) is None
+    assert mk([v.attr(1, 2), v.NOT_RECOMMEND]).decision(v) == 0
 
 
 def test_gradients_match_finite_differences():
@@ -582,9 +582,9 @@ def _prefill_calls(monkeypatch):
     """Record (ids shape, start) of every `_np_forward` call that `generate` makes."""
     calls, inner = [], policy._np_forward
 
-    def recording(params, ids, cfg, state=None, start=0):
+    def recording(params, ids, cfg, state=None, start=0, **kwargs):
         calls.append((np.shape(ids), start))
-        return inner(params, ids, cfg, state, start)
+        return inner(params, ids, cfg, state, start, **kwargs)
 
     monkeypatch.setattr(policy, "_np_forward", recording)
     return calls
@@ -678,3 +678,31 @@ def test_prefill_from_a_start_position_matches_one_forward():
         _np_forward(params, ids[:, 6:], TINY, start=6)  # no state holds positions 0..5
     with pytest.raises(ContractViolation):
         _np_forward(params, ids[:, 6:], TINY, DecodeState(TINY, 3), start=6)
+
+
+def test_prefill_without_the_last_layer_fills_the_same_cache():
+    params = tiny_params(72)
+    ids = substream(11, "ids").integers(0, TINY.vocab().size, size=(1, 13))
+    full, keys_only = DecodeState(TINY, 1), DecodeState(TINY, 1)
+    _np_forward(params, ids, TINY, full)
+    assert _np_forward(params, ids, TINY, keys_only, last=False) is None
+    assert keys_only.length == full.length == 13
+    for got, want in zip(keys_only.kv, full.kv):
+        assert np.array_equal(got[..., :13, :], want[..., :13, :])  # bitwise
+    with pytest.raises(ContractViolation):
+        _np_forward(params, ids, TINY, last=False)  # no state to fill
+
+
+def test_generate_moves_every_rng_on_by_max_gen_draws():
+    params = tiny_params(74)
+    v = TINY.vocab()
+    prefix = substream(14, "rng", "prefix").integers(0, v.size, size=(6, 7))
+    prefix[:, -1] = v.BOS
+    for cot in (True, False):
+        rngs = [substream(14, "rng", i) for i in range(6)]
+        outs = generate(params, prefix, rngs, TINY, v, cot)
+        assert len({len(r.tokens) for r in outs}) >= 2  # rows stop at different steps
+        for i, rng in enumerate(rngs):
+            fresh = substream(14, "rng", i)
+            fresh.random(TINY.max_gen)
+            assert np.array_equal(rng.random(3), fresh.random(3))
