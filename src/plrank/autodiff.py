@@ -16,7 +16,6 @@ that only the cyclic garbage collector could free.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -271,12 +270,17 @@ def merge_heads(x: Array) -> Array:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * e)
 
 
-@lru_cache(maxsize=None)
+_causal = np.zeros((0, 0))  # NEG_MASK above the diagonal, grown to fit the largest Tq asked for
+
+
 def _causal_mask(t: int) -> Array:
-    """(t, t) additive mask, NEG_MASK above the diagonal; read-only, made once per t."""
-    mask = np.triu(np.full((t, t), NEG_MASK), k=1)
-    mask.flags.writeable = False
-    return mask
+    """(t, t) additive causal mask: a read-only view of one triangle kept across calls."""
+    global _causal
+    if t > _causal.shape[0]:
+        n = -(-t // ATTENTION_BLOCK) * ATTENTION_BLOCK  # so a growing t rebuilds it rarely
+        _causal = np.triu(np.full((n, n), NEG_MASK), k=1)
+        _causal.flags.writeable = False
+    return _causal[:t, :t]
 
 
 def attention_forward(
