@@ -7,7 +7,8 @@ anything else must go through an explicit broadcast_to/reshape, so shape bugs
 fail loudly at op time instead of silently broadcasting.
 
 Besides the fine-grained primitives there are two fused layer ops, `linear`
-and `causal_attention`, whose plain-numpy forwards the numpy decoder shares.
+and `causal_attention`. The numpy decoder shares their plain-numpy forwards,
+and `log_softmax`'s.
 
 Backward closures capture arrays, shapes and flags, never a Tensor: a Tensor
 holds its Tape, so capturing one would make every graph a reference cycle
@@ -54,35 +55,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, node_id={self.node_id}, requires={self.requires})"
-
-    def _lift(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return self.tape.constant(np.asarray(other, dtype=np.float64))
-
-    def __add__(self, other):
-        return add(self, self._lift(other))
-
-    def __radd__(self, other):
-        return add(self._lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, self._lift(other))
-
-    def __rmul__(self, other):
-        return mul(self._lift(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(self._lift(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(self._lift(other), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -416,10 +388,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x.tape._record(y, (x.node_id,), backward_fn, x.requires)
 
 
+def log_softmax_forward(x: Array, axis: int = -1) -> Array:
+    """Log-softmax of a plain array along `axis`: the tape op's forward, which the numpy decoder calls."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    y = shifted - lse
+    y = log_softmax_forward(x.data, axis)
 
     def backward_fn(g: Array):
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)

@@ -47,7 +47,6 @@ class InstanceResult:
     positive_rank: int               # 0-based rank of the positive candidate
     history_length: int
     positive_train_frequency: int
-    scores: np.ndarray
 
 
 @dataclass
@@ -90,7 +89,6 @@ def evaluate(
                 positive_rank=positive_rank,
                 history_length=len(inst.ctx.history),
                 positive_train_frequency=inst.candidates[inst.positive_index()].train_frequency,
-                scores=scores,
             )
         )
         report.n_instances += 1

@@ -11,7 +11,7 @@ two paths together.
 
 Both paths run the columns a batch's rows share (`shared_prefix_length`: a
 slate's profile and history) once, at batch 1, then only each row's rest:
-`generate` copies the shared keys and values into every row's cache, and
+`generate` writes the shared keys and values into every row's cache, and
 `forward_hidden_tape(..., shared=S)` lets the rows' suffixes attend to them
 through `broadcast_to`. The tape's last layer runs its queries, attention
 and MLP only at the columns a caller reads (`window`).
@@ -32,6 +32,7 @@ from .autodiff import (
     Tensor,
     attention_forward,
     linear_forward,
+    log_softmax_forward,
     merge_heads,
 )
 from .errors import ConfigError, ContractViolation, DataFormatError
@@ -288,12 +289,15 @@ def forward_hidden_tape(
         q = ad.linear(xq, pt[p + "wq"], pt[p + "bq"])
         k, v = (ad.linear(x, pt[p + "w" + n], pt[p + "b" + n]) for n in "kv")
         if xs is not None:
-            qs, ks, vs = (ad.linear(xs, pt[p + "w" + n], pt[p + "b" + n]) for n in "qkv")
+            # the last layer's shared rows feed no later keys or values, so need no queries;
+            # qs is made before ks and vs: that order fixes how the backward sums the
+            # shared rows' gradient, and the RL weights are pinned bit for bit
+            qs = None if last else ad.linear(xs, pt[p + "wq"], pt[p + "bq"])
+            ks, vs = (ad.linear(xs, pt[p + "w" + n], pt[p + "b" + n]) for n in "kv")
             k, v = (
                 ad.concat([ad.broadcast_to(zs, (b, shared, d)), z], axis=1) for zs, z in ((ks, k), (vs, v))
             )
-            # the last layer's shared rows feed no later keys or values
-            xs = _tape_layer(pt, p, xs, qs, ks, vs, cfg.n_heads) if not last else None
+            xs = None if last else _tape_layer(pt, p, xs, qs, ks, vs, cfg.n_heads)
         x = _tape_layer(pt, p, xq, q, k, v, cfg.n_heads, positions if last else None)
     return x
 
@@ -356,11 +360,6 @@ def head_score_tape(pt: dict[str, Tensor], hidden_vecs: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _np_log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 class DecodeState:
     """Each layer's keys and values for already-processed positions.
 
@@ -389,9 +388,11 @@ def _np_layers(
     """Every decoder layer over x (B, T, d) holding positions start..start+T-1.
 
     `qkv` is `fused_qkv(params, cfg)`. With a state, each layer writes its keys
-    and values there and the queries attend to every cached position; without
-    one, start must be 0. Without `last` the last layer only writes its keys
-    and values, and the result is None: nothing reads its queries' output.
+    and values there, and the queries attend to every cached position of the
+    state's first B rows; a batch-1 x writes into every row of the state.
+    Without a state, start must be 0. Without `last` the last layer only
+    writes its keys and values, and the result is None: nothing reads its
+    queries' output.
     """
     b, t = x.shape[:2]
     for i, (w, bias) in enumerate(qkv):
@@ -401,7 +402,7 @@ def _np_layers(
         kv = heads[:, 1:]
         if state is not None:
             state.kv[i][:, :, :, start : start + t] = kv
-            kv = state.kv[i][:, :, :, : start + t]
+            kv = state.kv[i][:b, :, :, : start + t]
             if not last and i + 1 == cfg.n_layers:
                 return None
         _, ctx = attention_forward(heads[:, 0], kv[:, 0], kv[:, 1])
@@ -486,12 +487,12 @@ def generate(
     uniforms at once, `rngs[row].random(max_gen)`, and its k-th token reads
     the k-th; so every row's generator moves on by exactly max_gen draws,
     however early the row stops. The S leading columns on which all B > 1
-    rows agree (S < T_p) are prefilled once, at batch 1, and their keys and
-    values copied to every row; then only the (B, T_p - S) remainder is
-    prefilled. A slate's rows share the user's profile and history this way.
-    Without `cot` a row may write one decision token, then only EOS. Recorded
-    token log-probs are the temperature-1 policy's, which is what PPO ratios
-    and teacher-forced re-evaluation use.
+    rows agree (S < T_p) are prefilled once, at batch 1, which writes their
+    keys and values into every row of the one cache; then only the
+    (B, T_p - S) remainder is prefilled. A slate's rows share the user's
+    profile and history this way. Without `cot` a row may write one decision
+    token, then only EOS. Recorded token log-probs are the temperature-1
+    policy's, which is what PPO ratios and teacher-forced re-evaluation use.
     """
     prefix = np.atleast_2d(np.asarray(prefix, dtype=np.int64))
     b, t_p = prefix.shape
@@ -504,11 +505,7 @@ def generate(
     state = DecodeState(cfg, b)
     s = shared_prefix_length(prefix)
     if s:
-        shared = DecodeState(cfg, 1)
-        _np_forward(params, prefix[:1, :s], cfg, shared, qkv=qkv, last=False)
-        for cache, part in zip(state.kv, shared.kv):
-            cache[..., :s, :] = part[..., :s, :]
-        state.length = s
+        _np_forward(params, prefix[:1, :s], cfg, state, qkv=qkv, last=False)
     hidden = _np_forward(params, prefix[:, s:], cfg, state, s, qkv=qkv)[:, -1, :]
     uniforms = None if rngs is None else np.stack([rng.random(g) for rng in rngs])
     if not cot:
@@ -545,7 +542,7 @@ def generate(
     truncated = ~ended.any(axis=1)
     lengths = np.where(truncated, g, ended.argmax(axis=1) + 1)
     # (B, steps): each row's token log-prob at each step, from one log-softmax
-    logprobs = _np_log_softmax(logits[:steps])[np.arange(steps), np.arange(b)[:, None], tokens[:, :steps]]
+    logprobs = log_softmax_forward(logits[:steps])[np.arange(steps), np.arange(b)[:, None], tokens[:, :steps]]
     return [
         Rationale(tokens[row, :n], logprobs[row, :n], final_hidden[row], bool(truncated[row]))
         for row, n in enumerate(lengths)
@@ -597,7 +594,7 @@ def token_log_probs(
     hidden = _np_forward(params, ids, cfg)
     positions = np.arange(prefix.size - 1, prefix.size - 1 + tokens.size)
     logits = linear_forward(hidden[0, positions], params["out.w"], params["out.b"])
-    return _np_log_softmax(logits)[np.arange(tokens.size), tokens]
+    return log_softmax_forward(logits)[np.arange(tokens.size), tokens]
 
 
 def score_hidden(params: dict[str, np.ndarray], hidden: np.ndarray) -> np.ndarray:

@@ -40,7 +40,8 @@ def parse_report_header(line: str) -> dict:
     return meta
 
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """One table cell: floats at full precision (repr), everything else as str."""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -51,7 +52,7 @@ def _write_table(path, kind: str, config_hash: str, seed: int, header: list[str]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([format_cell(v) for v in row])
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(report_header(kind, config_hash, seed) + "\n")
         fh.write(buf.getvalue())

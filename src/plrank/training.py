@@ -4,9 +4,10 @@ Stage one clones the template teacher with token-level NLL. Stage two samples
 one rationale per candidate, scores them with the head, samples rankings from
 the score vector, and ascends two objectives at once: a clipped token-level
 ratio objective on the rationale tokens (policy weights) and a score-gradient
-objective through the ranking distribution (head weights, optionally flowing
-back into the policy trunk). Every random draw comes from a keyed substream,
-so runs are bit-reproducible and per-item draws never depend on slate order.
+objective through the ranking distribution (head weights, and through them
+the policy trunk exactly when `rl.joint` is true). Every random draw comes
+from a keyed substream, so runs are bit-reproducible and per-item draws never
+depend on slate order.
 
 The update's tape pass runs an instance's shared user prefix once, at batch
 1, and its K candidate rows only from there on (`instance_objectives`); its
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,29 +40,11 @@ from .policy import (
     shared_prefix_length,
 )
 from .rank import batched_ndcg, pl_log_probs_and_grads, pl_sample_many
-from .report import report_header
+from .report import format_cell, report_header
 from .rng import KeyedStreams
 from .world import RankingInstance, SftExample
 
 log = logging.getLogger("plrank.training")
-
-METRICS_COLUMNS = (
-    "step",
-    "stage",
-    "mean_reward",
-    "ppo_obj",
-    "head_obj",
-    "grad_norm_theta",
-    "grad_norm_phi",
-    "clip_frac",
-    "approx_kl",
-    "ratio_max",
-    "gen_len_mean",
-    "truncation_rate",
-    "decision_acc",
-    "score_std",
-    "wallclock_ms",
-)
 
 
 @dataclass(frozen=True)
@@ -183,14 +166,8 @@ class MetricsWriter:
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(METRICS_COLUMNS)
 
-    def write_row(self, **fields) -> None:
-        row = []
-        for col in METRICS_COLUMNS:
-            value = fields.get(col, "")
-            if isinstance(value, float):
-                value = repr(value)
-            row.append(value)
-        self._writer.writerow(row)
+    def write_row(self, **values) -> None:
+        self._writer.writerow([format_cell(values.get(col, "")) for col in METRICS_COLUMNS])
 
 
 def named_grads(pt: dict[str, Tensor], grads_by_node: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
@@ -470,7 +447,11 @@ class RlStepStats:
     truncation_rate: float  # share of rationales cut at max_gen
     decision_acc: float     # share of rationales whose decision is the candidate's relevance
     score_std: float        # std of a slate's head scores, averaged over the step's slates
-    wallclock_ms: float = 0.0
+    wallclock_ms: float = 0.0  # stays last: A10 drops the last metrics column
+
+
+# SFT rows fill the step, stage and the columns they have, and leave the rest empty.
+METRICS_COLUMNS = ("step", "stage", *(f.name for f in fields(RlStepStats)[1:]))
 
 
 def rl_step(

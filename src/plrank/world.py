@@ -247,8 +247,7 @@ def build_instances(
         target_len = int(streams.stream("histlen", uidx).geometric(cfg.history_geom_p))
         hist_len = min(L, earlier.size, target_len)
         hist_items = earlier[earlier.size - hist_len :]
-        relevant_set = set(int(i) for i in events.relevant)
-        non_relevant = np.array([i for i in events.pool if int(i) not in relevant_set])
+        non_relevant = events.pool[~np.isin(events.pool, events.relevant)]
         if non_relevant.size < K - 1:
             stats.skipped_few_negatives += 1
             continue
@@ -331,7 +330,7 @@ def oracle_teacher(
     decision = int(ground_truth)
     if noise_rate > 0.0 and rng.random() < noise_rate:
         decision = 1 - decision
-    target.append(vocab.RECOMMEND if decision else vocab.NOT_RECOMMEND)
+    target.append(vocab.decision_token(decision))
     target.append(vocab.EOS)
     return SftExample(
         instance_id="",

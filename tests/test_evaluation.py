@@ -127,7 +127,6 @@ def synthetic_report() -> EvalReport:
                 positive_rank=i % 4,
                 history_length=hl,
                 positive_train_frequency=f,
-                scores=np.zeros(4),
             )
         )
     return report

@@ -17,7 +17,6 @@ from plrank.policy import (
     Vocab,
     _np_decode_step,
     _np_forward,
-    _np_log_softmax,
     clone_params,
     decode_slate,
     forward_hidden_tape,
@@ -502,7 +501,7 @@ def _reference_generate(params, prefix, rngs, cfg, vocab, mode="cot", temperatur
     decision_ids = (vocab.RECOMMEND, vocab.NOT_RECOMMEND)
     for step in range(g_max):
         logits = linear_forward(hidden, params["out.w"], params["out.b"])
-        lp1 = _np_log_softmax(logits)
+        lp1 = ad.log_softmax_forward(logits)
         masked = logits.copy()
         if mode == "decision_only":
             allow = np.zeros((b, vocab.size), dtype=bool)
@@ -691,6 +690,18 @@ def test_prefill_without_the_last_layer_fills_the_same_cache():
         assert np.array_equal(got[..., :13, :], want[..., :13, :])  # bitwise
     with pytest.raises(ContractViolation):
         _np_forward(params, ids, TINY, last=False)  # no state to fill
+
+
+def test_batch_one_prefill_fills_every_row_of_the_cache():
+    # generate's shared prefill: one row's keys and values land in every row of the slate's cache
+    params = tiny_params(73)
+    row = substream(12, "ids").integers(0, TINY.vocab().size, size=(1, 11))
+    broadcast, repeated = DecodeState(TINY, 3), DecodeState(TINY, 3)
+    assert _np_forward(params, row, TINY, broadcast, last=False) is None
+    _np_forward(params, np.repeat(row, 3, axis=0), TINY, repeated, last=False)
+    assert broadcast.length == repeated.length == 11
+    for got, want in zip(broadcast.kv, repeated.kv):
+        assert np.array_equal(got[..., :11, :], want[..., :11, :])  # bitwise, every row
 
 
 def test_generate_moves_every_rng_on_by_max_gen_draws():

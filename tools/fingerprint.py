@@ -1,0 +1,126 @@
+"""Bit-identity fingerprint of the desk pipeline.
+
+Runs `plrank gen-data`, `build-sft`, `train --stage sft` and `train --stage rl`
+into a temporary directory, with the default config but SFT_STEPS and RL_STEPS
+training steps, and prints one SHA-256 per part, so two checkouts can be
+compared line by line:
+
+  instances    the three instance files `gen-data` writes
+  sft_corpus   the teacher corpus `build-sft` writes
+  sft          the SFT checkpoint and metrics file
+  decode       `decode_slate` on the first SLATES test slates with the SFT
+               weights, greedy and sampled, with and without cot: tokens,
+               token log-probs, final hidden states, truncation and scores
+  rl           the RL checkpoint and metrics file
+
+The metrics files are hashed without their last column, the wall clock. Every
+file embeds the config hash, so two checkouts compare only if their configs
+have the same fields.
+
+Usage: python tools/fingerprint.py
+
+It runs on one BLAS thread, as the test suite and the benchmark do, and
+imports plrank from the `src/` directory beside this script, so a copy of this
+file placed in another checkout fingerprints that checkout. The commands'
+own output goes to stderr; the hashes go to stdout.
+"""
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from plrank import cli  # noqa: E402
+from plrank.config import load_run_config, policy_config  # noqa: E402
+from plrank.policy import decode_slate, load_checkpoint  # noqa: E402
+from plrank.report import read_table  # noqa: E402
+from plrank.rng import substream  # noqa: E402
+from plrank.world import SPLITS, load_instances_jsonl  # noqa: E402
+
+SFT_STEPS = 40
+RL_STEPS = 30
+SLATES = 60
+
+
+def run(*argv: str) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(list(argv))
+    if code:
+        raise SystemExit(f"plrank {' '.join(argv)} exited with {code}")
+
+
+def hash_files(*paths: Path):
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes())
+    return h
+
+
+def hash_metrics(h, path: Path) -> None:
+    """The metrics table without its last column, the wall clock."""
+    meta, header, rows = read_table(path)
+    h.update(repr((meta, header[:-1], [row[:-1] for row in rows])).encode())
+
+
+def hash_decode(out: Path, config: Path):
+    cfg = load_run_config(config)
+    pcfg = policy_config(cfg)
+    vocab = pcfg.vocab()
+    params, _, _ = load_checkpoint(out / "sft_model.bin")
+    instances, _ = load_instances_jsonl(out / "instances_test.jsonl")
+    h = hashlib.sha256()
+    for inst in instances[:SLATES]:
+        for cot in (True, False):
+            for sampled in (False, True):
+                rng_of = (
+                    (lambda item_id: substream(cfg.seed, "fingerprint", inst.instance_id, item_id))
+                    if sampled
+                    else None
+                )
+                _, row_of_slot, rats, scores = decode_slate(
+                    params, inst.ctx, inst.candidates, pcfg, vocab, cot, rng_of=rng_of
+                )
+                h.update(row_of_slot.tobytes() + scores.tobytes())
+                for r in rats:
+                    h.update(
+                        r.tokens.tobytes() + r.token_logprobs.tobytes() + r.final_hidden.tobytes()
+                        + bytes([r.truncated])
+                    )
+    return h
+
+
+def main() -> int:
+    parts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config = out / "config.json"
+        config.write_text(json.dumps({"sft": {"steps": SFT_STEPS}, "rl": {"steps": RL_STEPS}}))
+        common = ("--config", str(config), "--out", str(out))
+        run("gen-data", *common)
+        parts["instances"] = hash_files(*(out / f"instances_{split}.jsonl" for split in SPLITS))
+        run("build-sft", *common)
+        parts["sft_corpus"] = hash_files(out / "sft.jsonl")
+        run("train", "--stage", "sft", *common)
+        parts["sft"] = hash_files(out / "sft_model.bin")
+        hash_metrics(parts["sft"], out / "metrics_sft.csv")
+        parts["decode"] = hash_decode(out, config)
+        run("train", "--stage", "rl", *common)
+        parts["rl"] = hash_files(out / "rl_model.bin")
+        hash_metrics(parts["rl"], out / "metrics_rl.csv")
+    for name, h in parts.items():
+        print(f"{name:12s} {h.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
