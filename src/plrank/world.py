@@ -16,7 +16,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import ConfigError, DataFormatError
-from .rng import KeyedStreams
+from .rng import KeyedStreams, first_randoms
 
 SPLITS = ("train", "valid", "test")
 SCHEMA_VERSION = 1
@@ -48,28 +48,28 @@ class WorldConfig:
             raise ConfigError("exposure_pool cannot exceed n_items")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryEvent:
     item_id: str
     tokens: tuple[int, ...]  # bucket index per latent dimension
     t: int                   # event time, ascending within a history
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserContext:
     user_id: str
     profile_tokens: tuple[int, ...]
     history: tuple[HistoryEvent, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateItem:
     item_id: str
     tokens: tuple[int, ...]
     train_frequency: int  # appearances as a training positive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingInstance:
     instance_id: str
     ctx: UserContext
@@ -80,7 +80,7 @@ class RankingInstance:
         return int(np.argmax(self.relevance))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SftExample:
     instance_id: str
     item_id: str
@@ -235,6 +235,12 @@ def build_instances(
     streams = KeyedStreams(world.seed)
     stats = BuildStats()
     instances: list[RankingInstance] = []
+    # Token tuples, ids and counts are built once here; every event and
+    # candidate of the same item shares them.
+    item_ids = [world.item_id(i) for i in range(cfg.n_items)]
+    item_tokens = [tuple(row) for row in world.item_buckets.tolist()]
+    item_counts = train_counts.tolist()
+    profiles = bucketize(world.user_latents, cfg.buckets).tolist()
     for uidx in range(cfg.n_users):
         if split_of_user(world.seed, uidx) != split:
             continue
@@ -261,38 +267,86 @@ def build_instances(
         present = streams.stream("present", uidx).permutation(K)
         slate, grades = slate[present], grades[present]
         history = tuple(
-            HistoryEvent(
-                item_id=world.item_id(i),
-                tokens=tuple(int(b) for b in world.item_buckets[i]),
-                t=t,
-            )
-            for t, i in enumerate(hist_items)
+            HistoryEvent(item_id=item_ids[i], tokens=item_tokens[i], t=t)
+            for t, i in enumerate(hist_items.tolist())
         )
         ctx = UserContext(
             user_id=world.user_id(uidx),
-            profile_tokens=tuple(
-                int(b) for b in bucketize(world.user_latents[uidx], cfg.buckets)
-            ),
+            profile_tokens=tuple(profiles[uidx]),
             history=history,
         )
         candidates = tuple(
             CandidateItem(
-                item_id=world.item_id(i),
-                tokens=tuple(int(b) for b in world.item_buckets[i]),
-                train_frequency=int(train_counts[i]),
+                item_id=item_ids[i],
+                tokens=item_tokens[i],
+                train_frequency=item_counts[i],
             )
-            for i in slate
+            for i in slate.tolist()
         )
         instances.append(
             RankingInstance(
                 instance_id=f"u{uidx}",
                 ctx=ctx,
                 candidates=candidates,
-                relevance=tuple(int(g) for g in grades),
+                relevance=tuple(grades.tolist()),
             )
         )
         stats.built += 1
     return instances, stats
+
+
+def history_array(ctx: UserContext, m: int) -> np.ndarray:
+    """(H, m) bucket array of the user's history events, oldest first."""
+    return np.array([ev.tokens for ev in ctx.history], dtype=np.int64).reshape(-1, m)
+
+
+def teacher_targets(
+    hist: np.ndarray,
+    cand: np.ndarray,
+    decisions: np.ndarray,
+    vocab,
+    selfcheck_k: int = 2,
+) -> list[np.ndarray]:
+    """Template rationales for the (K, m) candidates `cand` against one (H, m) history.
+
+    Row k's reasoning section lists the attribute tokens of candidate k that
+    any history item shares, by dimension; the self-check section revisits up
+    to selfcheck_k unshared dimensions, by largest disagreement (distance to
+    the nearest history bucket) and then by dimension; the conclusion is
+    decisions[k], then EOS. Returns K int32 arrays.
+    """
+    n, m = cand.shape
+    if hist.shape[0]:
+        disagreement = np.abs(hist[None, :, :] - cand[:, None, :]).min(axis=1)
+    else:
+        disagreement = np.full((n, m), vocab.buckets, dtype=np.int64)
+    shared = disagreement == 0
+    # A stable sort by descending disagreement puts the unshared dimensions
+    # first, ties by dimension; the shared ones (disagreement 0) come last.
+    order = np.argsort(-disagreement, axis=1, kind="stable")[:, :selfcheck_k]
+    n_check = np.minimum(m - shared.sum(axis=1), order.shape[1])
+    attrs = vocab.attrs(cand)
+
+    def column(token):
+        return np.full((n, 1), token, dtype=np.int64)
+
+    tokens = np.concatenate(
+        [
+            column(vocab.SEC_REASON),
+            attrs,
+            column(vocab.SEC_SELFCHECK),
+            np.take_along_axis(attrs, order, axis=1),
+            column(vocab.SEC_CONCLUDE),
+            np.where(decisions != 0, vocab.RECOMMEND, vocab.NOT_RECOMMEND)[:, None],
+            column(vocab.EOS),
+        ],
+        axis=1,
+    )
+    keep = np.ones(tokens.shape, dtype=bool)
+    keep[:, 1 : m + 1] = shared
+    keep[:, m + 2 : m + 2 + order.shape[1]] = np.arange(order.shape[1]) < n_check[:, None]
+    ends = np.cumsum(keep.sum(axis=1))
+    return np.split(tokens[keep].astype(np.int32), ends[:-1])
 
 
 def oracle_teacher(
@@ -304,39 +358,20 @@ def oracle_teacher(
     vocab,
     selfcheck_k: int = 2,
 ) -> SftExample:
-    """Template rationale: shared attributes, largest disagreements, decision.
-
-    The reasoning section lists the candidate's attribute tokens that any
-    history item shares; the self-check section revisits the worst-matching
-    dimensions; the conclusion is the ground-truth decision flipped with
-    probability noise_rate.
-    """
-    m = len(item.tokens)
-    hist = np.array([ev.tokens for ev in ctx.history], dtype=np.int64).reshape(-1, m)
-    cand = np.asarray(item.tokens, dtype=np.int64)
-    if hist.shape[0]:
-        shared_mask = (hist == cand[None, :]).any(axis=0)
-        disagreement = np.abs(hist - cand[None, :]).min(axis=0)
-    else:
-        shared_mask = np.zeros(m, dtype=bool)
-        disagreement = np.full(m, vocab.buckets, dtype=np.int64)
-    target = [vocab.SEC_REASON]
-    target.extend(vocab.attr(d, item.tokens[d]) for d in range(m) if shared_mask[d])
-    target.append(vocab.SEC_SELFCHECK)
-    unshared = [d for d in range(m) if not shared_mask[d]]
-    unshared.sort(key=lambda d: (-int(disagreement[d]), d))
-    target.extend(vocab.attr(d, item.tokens[d]) for d in unshared[:selfcheck_k])
-    target.append(vocab.SEC_CONCLUDE)
+    """One candidate's template rationale (see `teacher_targets`), with the
+    ground-truth decision flipped with probability noise_rate."""
     decision = int(ground_truth)
     if noise_rate > 0.0 and rng.random() < noise_rate:
         decision = 1 - decision
-    target.append(vocab.decision_token(decision))
-    target.append(vocab.EOS)
+    cand = np.asarray([item.tokens], dtype=np.int64)
+    (target,) = teacher_targets(
+        history_array(ctx, cand.shape[1]), cand, np.array([decision]), vocab, selfcheck_k
+    )
     return SftExample(
         instance_id="",
         item_id=item.item_id,
         prefix=np.empty(0, dtype=np.int32),
-        target=np.asarray(target, dtype=np.int32),
+        target=target,
         ground_truth=int(ground_truth),
         teacher_decision=decision,
     )
@@ -350,31 +385,47 @@ def build_sft_corpus(
     serialize_fn,
     selfcheck_k: int = 2,
 ) -> tuple[list[SftExample], CorpusStats]:
-    """Teacher every (instance, candidate) pair, keeping only correct decisions."""
-    streams = KeyedStreams(seed)
+    """Teacher every (instance, candidate) pair, keeping only correct decisions.
+
+    The same corpus as `oracle_teacher` on each pair with the stream
+    ("teacher", instance_id, item_id), built a slate at a time: a flipped
+    decision is always a rejected one, so only the kept rows get a target.
+    """
     stats = CorpusStats()
     kept: list[SftExample] = []
+    pairs = [("teacher", inst.instance_id, c.item_id) for inst in instances for c in inst.candidates]
+    if noise_rate > 0.0:
+        keep = first_randoms(seed, pairs) >= noise_rate
+    else:
+        keep = np.ones(len(pairs), dtype=bool)
+    start = 0
     for inst in instances:
-        for slot, item in enumerate(inst.candidates):
-            rng = streams.stream("teacher", inst.instance_id, item.item_id)
-            example = oracle_teacher(
-                inst.ctx, item, inst.relevance[slot], noise_rate, rng, vocab, selfcheck_k
-            )
-            if example.teacher_decision != example.ground_truth:
-                stats.rejected += 1
-                continue
-            stats.kept += 1
-            stats.kept_positive += example.ground_truth
+        n = len(inst.candidates)
+        truth = np.asarray(inst.relevance, dtype=np.int64)
+        rows = np.flatnonzero(keep[start : start + n])
+        start += n
+        stats.rejected += n - rows.size
+        if not rows.size:
+            continue
+        cand = np.array([c.tokens for c in inst.candidates], dtype=np.int64)[rows]
+        targets = teacher_targets(
+            history_array(inst.ctx, cand.shape[1]), cand, truth[rows], vocab, selfcheck_k
+        )
+        for slot, target in zip(rows.tolist(), targets):
+            item = inst.candidates[slot]
+            decision = int(truth[slot])
             kept.append(
                 SftExample(
                     instance_id=inst.instance_id,
                     item_id=item.item_id,
                     prefix=np.asarray(serialize_fn(inst.ctx, item), dtype=np.int32),
-                    target=example.target,
-                    ground_truth=example.ground_truth,
-                    teacher_decision=example.teacher_decision,
+                    target=target,
+                    ground_truth=decision,
+                    teacher_decision=decision,
                 )
             )
+            stats.kept += 1
+            stats.kept_positive += decision
     return kept, stats
 
 

@@ -267,6 +267,50 @@ def test_sft_corpus_filters_noisy_teachers():
     assert stats0.kept == total
 
 
+def _per_pair_corpus(instances, noise_rate, seed, vocab, selfcheck_k):
+    """The corpus built one (instance, candidate) pair at a time, each with its own stream."""
+    kept, stats = [], {"kept": 0, "rejected": 0, "kept_positive": 0}
+    for inst in instances:
+        for slot, item in enumerate(inst.candidates):
+            rng = substream(seed, "teacher", inst.instance_id, item.item_id)
+            ex = oracle_teacher(inst.ctx, item, inst.relevance[slot], noise_rate, rng, vocab, selfcheck_k)
+            if ex.teacher_decision != ex.ground_truth:
+                stats["rejected"] += 1
+                continue
+            stats["kept"] += 1
+            stats["kept_positive"] += ex.ground_truth
+            kept.append(
+                dataclasses.replace(
+                    ex,
+                    instance_id=inst.instance_id,
+                    prefix=np.asarray(serialize_context(inst.ctx, item, vocab), dtype=np.int32),
+                )
+            )
+    return kept, stats
+
+
+@pytest.mark.parametrize("noise, selfcheck_k", [(0.25, 2), (0.0, 2), (0.25, 0), (0.25, 5)])
+def test_sft_corpus_matches_per_pair_reference(noise, selfcheck_k):
+    world = small_world()
+    vocab = Vocab(m=world.cfg.m, buckets=world.cfg.buckets)
+    instances, _ = build_instances(world, "valid", K=8, L=5)
+    no_history, _ = build_instances(world, "test", K=8, L=0)
+    instances += no_history[:5]
+    kept, stats = build_sft_corpus(
+        instances, noise, seed=5, vocab=vocab,
+        serialize_fn=lambda c, i: serialize_context(c, i, vocab), selfcheck_k=selfcheck_k,
+    )
+    ref, ref_stats = _per_pair_corpus(instances, noise, 5, vocab, selfcheck_k)
+    assert dataclasses.asdict(stats) == ref_stats
+    assert [(ex.instance_id, ex.item_id) for ex in kept] == [(ex.instance_id, ex.item_id) for ex in ref]
+    for a, b in zip(kept, ref):
+        assert (a.ground_truth, a.teacher_decision) == (b.ground_truth, b.teacher_decision)
+        for name in ("prefix", "target"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype == np.int32
+            assert x.tobytes() == y.tobytes()
+
+
 def test_train_frequency_matches_emitted_train_positives():
     world = small_world()
     counts = train_positive_counts(world)

@@ -22,7 +22,8 @@ Usage: python tools/fingerprint.py
 It runs on one BLAS thread, as the test suite and the benchmark do, and
 imports plrank from the `src/` directory beside this script, so a copy of this
 file placed in another checkout fingerprints that checkout. The commands'
-own output goes to stderr; the hashes go to stdout.
+own output and the CPU seconds of each stage go to stderr; the hashes go to
+stdout.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -53,10 +55,13 @@ SLATES = 60
 
 
 def run(*argv: str) -> None:
+    t0 = time.process_time()
     with contextlib.redirect_stdout(sys.stderr):
         code = cli.main(list(argv))
     if code:
         raise SystemExit(f"plrank {' '.join(argv)} exited with {code}")
+    stage = " ".join(argv[: argv.index("--config")])
+    print(f"stage {stage}: {time.process_time() - t0:.2f} CPU s", file=sys.stderr)
 
 
 def hash_files(*paths: Path):
