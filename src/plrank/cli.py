@@ -321,110 +321,95 @@ def cmd_report(args) -> int:
     return 0
 
 
+# what the stages write, by command; each embeds its config hash and seed
+ARTIFACTS = (
+    "effective_config.json", *(f"instances_{split}.jsonl" for split in SPLITS), "sft.jsonl",
+    "metrics_sft.csv", "sft_model.bin", "metrics_rl.csv", "rl_model.bin",
+    "eval.csv", "strata.csv", "summary.json",
+    "probe_position.csv", "probe_position.svg", "probe_history.csv", "probe_summary.json",
+    "curve_sft.svg", "curve_rl.svg",
+)
+
+
+def _provenance(path: Path) -> tuple[str, int]:
+    """The config hash and seed that the artifact's writer embedded in it."""
+    if path.suffix == ".bin":
+        _, embedded_hash, seed = load_checkpoint(path)
+        return embedded_hash, seed
+    with open(path, "r", encoding="utf-8") as fh:
+        # a table's or a data file's header is its first line
+        text = fh.readline() if path.suffix in (".csv", ".jsonl") else fh.read()
+    if path.suffix == ".csv":
+        meta = parse_report_header(text)
+    elif path.suffix == ".svg":
+        start, end = text.find("<desc>"), text.find("</desc>")
+        if start == -1 or end == -1:
+            raise DataFormatError("missing embedded header")
+        meta = parse_report_header(text[start + len("<desc>") : end])
+    else:
+        try:
+            meta = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"header is not JSON: {exc}") from exc
+        if path.name == "effective_config.json":
+            stored = run_config_from_dict(meta)
+            return config_hash(stored), stored.seed
+        if not (
+            isinstance(meta, dict)
+            and isinstance(meta.get("config_hash"), str)
+            and isinstance(meta.get("seed"), int)
+        ):
+            raise DataFormatError("header carries no config_hash string and seed integer")
+    return meta["config_hash"], meta["seed"]
+
+
+def _content_problems(out: Path, name: str) -> list[str]:
+    """What verify checks beyond provenance: a metrics table's columns, and
+    the probe summary recomputed from the history probe's raw rows."""
+    if name.startswith("metrics_"):
+        header = read_table(out / name)[1]
+        if tuple(header) != METRICS_COLUMNS:
+            return [f"{name}: columns {','.join(header)} != {','.join(METRICS_COLUMNS)}"]
+    history = out / "probe_history.csv"
+    if name == "probe_summary.json" and history.exists():
+        stored = json.loads((out / name).read_text(encoding="utf-8"))
+        try:
+            redone = summarize_history_probe(read_table(history)[2])
+        except DataFormatError as exc:
+            raise DataFormatError(f"{history.name}: {exc}") from exc
+        return [
+            f"{name}: history_{field} does not match raw rows"
+            for field in ("original_mean", "avg", "std", "range")
+            if getattr(redone, field) != stored.get(f"history_{field}")
+        ]
+    return []
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     expected = config_hash(cfg)
-    checked = 0
-    problems = []
-
-    effective = out / "effective_config.json"
-    if effective.exists():
-        with open(effective, "r", encoding="utf-8") as fh:
-            stored = run_config_from_dict(json.load(fh))
-        if config_hash(stored) != expected:
-            problems.append(f"{effective.name}: effective config hashes differently")
-        checked += 1
-
-    for name in (
-        "metrics_sft.csv",
-        "metrics_rl.csv",
-        "eval.csv",
-        "strata.csv",
-        "probe_position.csv",
-        "probe_history.csv",
-    ):
-        path = out / name
-        if not path.exists():
-            continue
-        meta, header, rows = read_table(path)
-        if meta["config_hash"] != expected:
-            problems.append(f"{name}: config_hash {meta['config_hash'][:12]} != {expected[:12]}")
-        if meta["seed"] != cfg.seed:
-            problems.append(f"{name}: seed {meta['seed']} != {cfg.seed}")
-        if name.startswith("metrics_") and tuple(header) != METRICS_COLUMNS:
-            problems.append(f"{name}: columns {','.join(header)} != {','.join(METRICS_COLUMNS)}")
-        checked += 1
-        if name == "probe_history.csv":
-            summary_path = out / "probe_summary.json"
-            if summary_path.exists():
-                with open(summary_path, "r", encoding="utf-8") as fh:
-                    stored_summary = json.load(fh)
-                redone = summarize_history_probe(rows)
-                for key, stored_key in (
-                    ("avg", "history_avg"),
-                    ("std", "history_std"),
-                    ("range", "history_range"),
-                    ("original_mean", "history_original_mean"),
-                ):
-                    if redone[key] != stored_summary.get(stored_key):
-                        problems.append(
-                            f"probe_summary.json: {stored_key} does not match raw rows"
-                        )
-                checked += 1
-
-    data_files = [_instances_path(out, split).name for split in SPLITS] + ["sft.jsonl"]
-    for name in ("summary.json", "probe_summary.json", *data_files):
-        path = out / name
-        if not path.exists():
-            continue
-        with open(path, "r", encoding="utf-8") as fh:
-            # a data file's header is its first line
-            text = fh.readline() if name.endswith(".jsonl") else fh.read()
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            problems.append(f"{name}: header is not JSON")
-            continue
-        if payload.get("config_hash") != expected:
-            problems.append(f"{name}: embedded config_hash mismatch")
-        if payload.get("seed") != cfg.seed:
-            problems.append(f"{name}: embedded seed mismatch")
-        checked += 1
-
-    for name in ("sft_model.bin", "rl_model.bin"):
-        path = out / name
-        if not path.exists():
-            continue
-        _, embedded_hash, embedded_seed = load_checkpoint(path)
-        if embedded_hash != expected:
-            problems.append(f"{name}: checkpoint config_hash mismatch")
-        if embedded_seed != cfg.seed:
-            problems.append(f"{name}: checkpoint seed {embedded_seed} != {cfg.seed}")
-        checked += 1
-
-    for name in ("probe_position.svg", "curve_sft.svg", "curve_rl.svg"):
-        path = out / name
-        if not path.exists():
-            continue
-        text = path.read_text(encoding="utf-8")
-        start = text.find("<desc>")
-        end = text.find("</desc>")
-        if start == -1 or end == -1:
-            problems.append(f"{name}: missing embedded header")
-        else:
-            meta = parse_report_header(text[start + len("<desc>") : end])
-            if meta["config_hash"] != expected:
-                problems.append(f"{name}: embedded config_hash mismatch")
-        checked += 1
-
-    if checked == 0:
+    present = [name for name in ARTIFACTS if (out / name).exists()]
+    if not present:
         raise DataFormatError(f"nothing to verify under {out}")
+    problems = []
+    for name in present:
+        try:
+            embedded_hash, seed = _provenance(out / name)
+            content = _content_problems(out, name)
+        except (ConfigError, DataFormatError, UnicodeDecodeError) as exc:
+            problems.append(f"{name}: {exc}")
+            continue
+        if embedded_hash != expected:
+            problems.append(f"{name}: config_hash {embedded_hash[:12]} != {expected[:12]}")
+        if seed != cfg.seed:
+            problems.append(f"{name}: seed {seed} != {cfg.seed}")
+        problems += content
     if problems:
         for p in problems:
             print(f"verify: {p}", file=sys.stderr)
         return 2
-    print(f"verify: {checked} artifacts consistent with config {expected[:12]}")
+    print(f"verify: {len(present)} artifacts consistent with config {expected[:12]}")
     return 0
 
 

@@ -127,29 +127,24 @@ def stratify(report: EvalReport, cutoff: int, history_bins: tuple[int, ...] = (0
     out: dict[str, dict] = {"frequency_quartiles": {}, "industrial_tiers": {}, "history_bins": {}}
     if values.size == 0:
         return out
+
+    def cell(mask):
+        mean = float(values[mask].mean()) if mask.any() else float("nan")
+        return {"n": int(mask.sum()), "mean": mean}
+
     edges = frequency_quartile_edges(freqs)
     quartile = np.searchsorted(edges, freqs, side="right")
     for q in range(4):
-        mask = quartile == q
-        out["frequency_quartiles"][f"q{q + 1}"] = {
-            "n": int(mask.sum()),
-            "mean": float(values[mask].mean()) if mask.any() else float("nan"),
-        }
+        out["frequency_quartiles"][f"q{q + 1}"] = cell(quartile == q)
     for name, lo, hi in INDUSTRIAL_TIERS:
         mask = freqs >= lo if hi is None else (freqs >= lo) & (freqs <= hi)
-        out["industrial_tiers"][name] = {
-            "n": int(mask.sum()),
-            "mean": float(values[mask].mean()) if mask.any() else float("nan"),
-        }
+        out["industrial_tiers"][name] = cell(mask)
     bins = sorted(history_bins)
     for i, lo in enumerate(bins):
         hi = bins[i + 1] - 1 if i + 1 < len(bins) else None
         mask = hist >= lo if hi is None else (hist >= lo) & (hist <= hi)
         label = f"{lo}+" if hi is None else (f"{lo}" if hi == lo else f"{lo}-{hi}")
-        out["history_bins"][label] = {
-            "n": int(mask.sum()),
-            "mean": float(values[mask].mean()) if mask.any() else float("nan"),
-        }
+        out["history_bins"][label] = cell(mask)
     return out
 
 
@@ -228,9 +223,18 @@ def probe_position(
 class HistoryShuffleResult:
     original_mean: float
     shuffle_means: np.ndarray  # (n_shuffles,) test-set mean per reshuffle
-    avg: float
-    std: float
-    range: float
+
+    @property
+    def avg(self) -> float:
+        return float(self.shuffle_means.mean())
+
+    @property
+    def std(self) -> float:
+        return float(self.shuffle_means.std(ddof=0))
+
+    @property
+    def range(self) -> float:
+        return float(self.shuffle_means.max() - self.shuffle_means.min())
 
 
 def probe_history_shuffle(
@@ -273,11 +277,4 @@ def probe_history_shuffle(
                 )
             )
         means.append(evaluate(params, shuffled, pcfg, cutoffs=(cutoff,), cot=cot).mean[cutoff])
-    means = np.asarray(means)
-    return HistoryShuffleResult(
-        original_mean=original,
-        shuffle_means=means,
-        avg=float(means.mean()),
-        std=float(means.std(ddof=0)),
-        range=float(means.max() - means.min()),
-    )
+    return HistoryShuffleResult(original_mean=original, shuffle_means=np.asarray(means))

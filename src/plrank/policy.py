@@ -84,8 +84,9 @@ class Vocab:
         rel = token - self._BASE
         return rel // self.buckets, rel % self.buckets
 
-    def decision_token(self, decision: int) -> int:
-        return self.RECOMMEND if decision else self.NOT_RECOMMEND
+    def decision_token(self, decisions) -> np.ndarray:
+        """RECOMMEND where a decision is nonzero, NOT_RECOMMEND elsewhere."""
+        return np.where(np.asarray(decisions) != 0, self.RECOMMEND, self.NOT_RECOMMEND)
 
 
 @dataclass(frozen=True)

@@ -117,24 +117,23 @@ def write_history_probe_csv(path, result: HistoryShuffleResult, config_hash: str
     _write_table(path, "history_probe", config_hash, seed, ["pass", "mean"], rows)
 
 
-def summarize_history_probe(rows: list[list[str]]) -> dict:
-    """Recompute the probe summary from the raw table rows."""
+def summarize_history_probe(rows: list[list[str]]) -> HistoryShuffleResult:
+    """Rebuild the probe result, and so its summary, from the raw table rows."""
     original = None
     means = []
-    for name, value in rows:
+    for row in rows:
+        try:
+            name, value = row
+            value = float(value)
+        except ValueError as exc:
+            raise DataFormatError(f"history probe table has a bad row {row!r}") from exc
         if name == "original":
-            original = float(value)
+            original = value
         else:
-            means.append(float(value))
+            means.append(value)
     if original is None or not means:
         raise DataFormatError("history probe table is incomplete")
-    arr = np.asarray(means)
-    return {
-        "original_mean": original,
-        "avg": float(arr.mean()),
-        "std": float(arr.std(ddof=0)),
-        "range": float(arr.max() - arr.min()),
-    }
+    return HistoryShuffleResult(original_mean=original, shuffle_means=np.asarray(means))
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,7 @@ def teacher_targets(
             column(vocab.SEC_SELFCHECK),
             np.take_along_axis(attrs, order, axis=1),
             column(vocab.SEC_CONCLUDE),
-            np.where(decisions != 0, vocab.RECOMMEND, vocab.NOT_RECOMMEND)[:, None],
+            vocab.decision_token(decisions)[:, None],
             column(vocab.EOS),
         ],
         axis=1,

@@ -574,10 +574,10 @@ def test_a08_history_shuffle_probe(desk_run, tmp_path):
     write_history_probe_csv(path, result, "acceptance", cfg.seed)
     _, _, rows = read_table(path)
     summary = summarize_history_probe(rows)
-    assert summary["original_mean"] == result.original_mean
-    assert summary["avg"] == result.avg
-    assert summary["std"] == result.std
-    assert summary["range"] == result.range
+    assert summary.original_mean == result.original_mean
+    assert summary.avg == result.avg
+    assert summary.std == result.std
+    assert summary.range == result.range
     print(
         f"PASS history-shuffle probe: Avg {result.avg:.4f} Std {result.std:.4f} "
         f"Range {result.range:.4f} Original-Avg {result.original_mean:.4f}; "

@@ -7,6 +7,7 @@ import pytest
 
 import plrank.training
 from plrank.cli import main
+from plrank.policy import load_checkpoint, save_checkpoint
 
 TINY_CONFIG = {
     "seed": 5,
@@ -152,20 +153,66 @@ def test_verify_detects_seed_mismatch(workdir, capsys):
 
 def test_verify_detects_rewritten_data_header(workdir, capsys):
     cfg_path, out = workdir
-    run(cfg_path, out, "gen-data")
-    run(cfg_path, out, "build-sft")
+    for argv in (["gen-data"], ["build-sft"], ["train", "--stage", "sft"], ["eval"], ["report"]):
+        assert run(cfg_path, out, *argv) == 0
     assert run(cfg_path, out, "verify") == 0
-    for name in ("instances_valid.jsonl", "sft.jsonl"):
+
+    def rewrite_seed(path):
+        if path.suffix == ".bin":
+            params, embedded_hash, seed = load_checkpoint(path)
+            save_checkpoint(path, params, embedded_hash, seed + 1)
+            return
+        text = path.read_text()
+        old = "seed=5" if path.suffix in (".csv", ".svg") else '"seed": 5'
+        assert old in text
+        path.write_text(text.replace(old, old[:-1] + "6", 1))
+
+    # one artifact of each kind, in the order: report table, metrics table,
+    # JSON summary, data headers, checkpoint, SVG chart, effective config
+    kinds = (
+        "eval.csv",
+        "metrics_sft.csv",
+        "summary.json",
+        "instances_valid.jsonl",
+        "sft.jsonl",
+        "sft_model.bin",
+        "curve_sft.svg",
+        "effective_config.json",
+    )
+    cases = [(name, rewrite_seed, f"{name}: seed 6 != 5") for name in kinds]
+    cases += [
+        (
+            "strata.csv",
+            lambda path: path.write_text("garbage\n" + path.read_text().split("\n", 1)[1]),
+            "strata.csv: missing report header, got 'garbage'",
+        ),
+        (
+            "sft_model.bin",
+            lambda path: path.write_bytes(path.read_bytes()[:-8]),
+            "sft_model.bin: checkpoint truncated while reading tensor ",
+        ),
+        (
+            "eval.csv",
+            lambda path: path.write_bytes(b"\xff" + path.read_bytes()),
+            "eval.csv: 'utf-8' codec can't decode byte 0xff",
+        ),
+        (
+            "summary.json",
+            lambda path: path.write_text(
+                json.dumps(dict(json.loads(path.read_text()), config_hash=5))
+            ),
+            "summary.json: header carries no config_hash string and seed integer",
+        ),
+    ]
+    for name, damage, message in cases:
         path = out / name
-        original = path.read_text()
-        first, rest = original.split("\n", 1)
-        header = json.loads(first)
-        header["seed"] += 1
-        path.write_text(json.dumps(header, sort_keys=True) + "\n" + rest)
+        original = path.read_bytes()
+        damage(path)
         capsys.readouterr()
         assert run(cfg_path, out, "verify") == 2
-        assert f"{name}: embedded seed mismatch" in capsys.readouterr().err
-        path.write_text(original)
+        assert f"verify: {message}" in capsys.readouterr().err
+        path.write_bytes(original)
+    assert run(cfg_path, out, "verify") == 0
 
 
 def test_interrupted_train_keeps_previous_metrics(workdir, monkeypatch):

@@ -267,10 +267,13 @@ def test_probe_emitters_round_trip(tmp_path):
     write_history_probe_csv(hpath, hist, "ee" * 32, 2)
     _, _, hrows = read_table(hpath)
     redone = summarize_history_probe(hrows)
-    assert redone["avg"] == hist.avg
-    assert redone["std"] == hist.std
-    assert redone["range"] == hist.range
-    assert redone["original_mean"] == hist.original_mean
+    assert redone.avg == hist.avg
+    assert redone.std == hist.std
+    assert redone.range == hist.range
+    assert redone.original_mean == hist.original_mean
+    for bad in (["shuffle_0", "abc"], ["shuffle_0", "0.5", "1"]):
+        with pytest.raises(DataFormatError, match="history probe table has a bad row"):
+            summarize_history_probe([["original", "0.5"], bad])
 
 
 def test_svg_charts_are_deterministic(tmp_path):

@@ -15,7 +15,8 @@ compared line by line:
 
 The metrics files are hashed without their last column, the wall clock. Every
 file embeds the config hash, so two checkouts compare only if their configs
-have the same fields.
+have the same fields. Last, `plrank verify` checks what the stages wrote
+against the config; the script exits nonzero if any command does.
 
 Usage: python tools/fingerprint.py
 
@@ -122,6 +123,7 @@ def main() -> int:
         run("train", "--stage", "rl", *common)
         parts["rl"] = hash_files(out / "rl_model.bin")
         hash_metrics(parts["rl"], out / "metrics_rl.csv")
+        run("verify", *common)
     for name, h in parts.items():
         print(f"{name:12s} {h.hexdigest()}")
     return 0
