@@ -305,9 +305,12 @@ def cmd_report(args) -> int:
         if not path.exists():
             continue
         _, header, rows = read_table(path)
-        step_at, value_at = header.index("step"), header.index(column)
-        steps = [float(row[step_at]) for row in rows if row[value_at]]
-        values = [float(row[value_at]) for row in rows if row[value_at]]
+        try:
+            step_at, value_at = header.index("step"), header.index(column)
+            steps = [float(row[step_at]) for row in rows if row[value_at]]
+            values = [float(row[value_at]) for row in rows if row[value_at]]
+        except (ValueError, IndexError) as exc:  # a missing column, a short row, not a number
+            raise DataFormatError(f"{path}: {exc}") from exc
         if not steps:
             continue
         svg = out / f"curve_{stage}.svg"
@@ -398,7 +401,8 @@ def cmd_verify(args) -> int:
             embedded_hash, seed = _provenance(out / name)
             content = _content_problems(out, name)
         except (ConfigError, DataFormatError, UnicodeDecodeError) as exc:
-            problems.append(f"{name}: {exc}")
+            # a reader that names the file names it by its path; say it once
+            problems.append(f"{name}: {str(exc).removeprefix(f'{out / name}: ')}")
             continue
         if embedded_hash != expected:
             problems.append(f"{name}: config_hash {embedded_hash[:12]} != {expected[:12]}")
@@ -465,7 +469,7 @@ def main(argv=None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ConfigError, DataFormatError, FileNotFoundError) as exc:
+    except (ConfigError, DataFormatError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

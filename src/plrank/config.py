@@ -135,11 +135,11 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"config {path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataFormatError(f"config {path}: invalid JSON: {exc}") from exc
     return run_config_from_dict(data)
 
 

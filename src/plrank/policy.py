@@ -627,29 +627,35 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_hash: str, seed:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int]:
+    """Read a `save_checkpoint` file. Every fault in it (a bad magic, a short
+    read, bytes that do not decode) is a DataFormatError that names the file."""
+
     def read(fh, n, what):
         data = fh.read(n)
         if len(data) != n:
             raise DataFormatError(f"checkpoint truncated while reading {what}")
         return data
 
-    with open(path, "rb") as fh:
-        if read(fh, 4, "magic") != CHECKPOINT_MAGIC:
-            raise DataFormatError("not a checkpoint: bad magic")
-        version, seed, hash_len = struct.unpack("<IQI", read(fh, 16, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise DataFormatError(f"unsupported checkpoint version {version}")
-        config_hash = read(fh, hash_len, "config hash").decode("ascii")
-        (count,) = struct.unpack("<I", read(fh, 4, "tensor count"))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", read(fh, 4, "name length"))
-            name = read(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", read(fh, 4, "rank"))
-            shape = struct.unpack(f"<{rank}Q", read(fh, 8 * rank, "dims"))
-            n_elem = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(read(fh, 8 * n_elem, f"tensor {name}"), dtype="<f8")
-            params[name] = data.reshape(shape).copy()
-        if fh.read(1):
-            raise DataFormatError("trailing bytes after final tensor")
+    try:
+        with open(path, "rb") as fh:
+            if read(fh, 4, "magic") != CHECKPOINT_MAGIC:
+                raise DataFormatError("not a checkpoint: bad magic")
+            version, seed, hash_len = struct.unpack("<IQI", read(fh, 16, "header"))
+            if version != CHECKPOINT_VERSION:
+                raise DataFormatError(f"unsupported checkpoint version {version}")
+            config_hash = read(fh, hash_len, "config hash").decode("ascii")
+            (count,) = struct.unpack("<I", read(fh, 4, "tensor count"))
+            params: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<I", read(fh, 4, "name length"))
+                name = read(fh, name_len, "name").decode("utf-8")
+                (rank,) = struct.unpack("<I", read(fh, 4, "rank"))
+                shape = struct.unpack(f"<{rank}Q", read(fh, 8 * rank, "dims"))
+                n_elem = int(np.prod(shape)) if rank else 1
+                data = np.frombuffer(read(fh, 8 * n_elem, f"tensor {name}"), dtype="<f8")
+                params[name] = data.reshape(shape).copy()
+            if fh.read(1):
+                raise DataFormatError("trailing bytes after final tensor")
+    except ValueError as exc:  # a DataFormatError above, or a UnicodeDecodeError
+        raise DataFormatError(f"{path}: {exc}") from exc
     return params, config_hash, seed

@@ -59,15 +59,18 @@ def _write_table(path, kind: str, config_hash: str, seed: int, header: list[str]
 
 
 def read_table(path) -> tuple[dict, list[str], list[list[str]]]:
-    """Parse a report table back into (meta, header, rows)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        meta = parse_report_header(fh.readline())
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise DataFormatError("table has no header row") from exc
-        rows = [row for row in reader if row]
+    """Parse a report table back into (meta, header, rows); every fault in it is
+    a DataFormatError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            meta = parse_report_header(fh.readline())
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError("table has no header row")
+            rows = [row for row in reader if row]
+    except (ValueError, csv.Error) as exc:  # a DataFormatError above, or bad UTF-8
+        raise DataFormatError(f"{path}: {exc}") from exc
     return meta, header, rows
 
 

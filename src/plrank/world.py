@@ -429,167 +429,140 @@ def build_sft_corpus(
     return kept, stats
 
 
-def save_instances_jsonl(path, instances, meta: dict | None = None) -> None:
-    header = {"schema": SCHEMA_VERSION, "kind": "instances", "count": len(instances)}
-    header.update(meta or {})
+def _write_jsonl(path, kind: str, records: list[dict], meta: dict | None) -> None:
+    """The data-file format: a header line (schema, kind, count, then `meta`),
+    then one JSON object per record, every object with sorted keys."""
+    header = {"schema": SCHEMA_VERSION, "kind": kind, "count": len(records), **(meta or {})}
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for inst in instances:
-            record = {
-                "instance_id": inst.instance_id,
-                "user": {
-                    "id": inst.ctx.user_id,
-                    "profile_tokens": list(inst.ctx.profile_tokens),
-                    "history": [
-                        {"item_id": ev.item_id, "tokens": list(ev.tokens), "t": ev.t}
-                        for ev in inst.ctx.history
-                    ],
-                },
-                "candidates": [
-                    {
-                        "item_id": c.item_id,
-                        "tokens": list(c.tokens),
-                        "train_frequency": c.train_frequency,
-                    }
-                    for c in inst.candidates
+        for obj in (header, *records):
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _read_jsonl(path, kind: str, parse) -> tuple[list, dict]:
+    """`parse` of every record of a `kind` file `_write_jsonl` wrote, and its header.
+
+    Every fault is a DataFormatError "{path}: line N: ...": bytes that are not
+    UTF-8, bad JSON, a wrong header, a missing field or one of the wrong type,
+    any DataFormatError `parse` raises, and a record count other than the
+    header's.
+    """
+    records = []
+    line_no = 1
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline().decode("utf-8"))
+            if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
+                raise DataFormatError(f"expected a header with schema={SCHEMA_VERSION}")
+            if header.get("kind") != kind:
+                raise DataFormatError(f"expected kind {kind!r}, got {header.get('kind')!r}")
+            # decoded a line at a time, so a bad byte is reported at its own line
+            # (a newline byte never occurs inside a UTF-8 character)
+            for line_no, raw in enumerate(fh, start=2):
+                if raw.strip():
+                    records.append(parse(json.loads(raw.decode("utf-8"))))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        fault = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise DataFormatError(f"{path}: line {line_no}: {fault}") from exc
+    if header.get("count") != len(records):
+        raise DataFormatError(f"{path}: line 1: header count {header.get('count')} != {len(records)} records")
+    return records, header
+
+
+def save_instances_jsonl(path, instances, meta: dict | None = None) -> None:
+    records = [
+        {
+            "instance_id": inst.instance_id,
+            "user": {
+                "id": inst.ctx.user_id,
+                "profile_tokens": list(inst.ctx.profile_tokens),
+                "history": [
+                    {"item_id": ev.item_id, "tokens": list(ev.tokens), "t": ev.t}
+                    for ev in inst.ctx.history
                 ],
-                "relevance": list(inst.relevance),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _require(record: dict, key: str, line: int):
-    if key not in record:
-        raise DataFormatError(f"line {line}: missing field {key!r}")
-    return record[key]
+            },
+            "candidates": [
+                {"item_id": c.item_id, "tokens": list(c.tokens), "train_frequency": c.train_frequency}
+                for c in inst.candidates
+            ],
+            "relevance": list(inst.relevance),
+        }
+        for inst in instances
+    ]
+    _write_jsonl(path, "instances", records, meta)
 
 
 def load_instances_jsonl(path) -> tuple[list[RankingInstance], dict]:
-    """Parse and validate an instance file; errors name the offending line."""
-    instances: list[RankingInstance] = []
+    """Parse and validate an instance file; errors name the file and line."""
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise DataFormatError("line 1: missing schema header")
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"line 1: invalid JSON header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
-            raise DataFormatError(
-                f"line 1: expected header with schema={SCHEMA_VERSION}, got {first.strip()[:80]}"
-            )
-        for line_no, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            iid = _require(rec, "instance_id", line_no)
-            if iid in seen:
-                raise DataFormatError(f"line {line_no}: duplicate instance_id {iid!r}")
-            seen.add(iid)
-            user = _require(rec, "user", line_no)
-            cands = _require(rec, "candidates", line_no)
-            rel = _require(rec, "relevance", line_no)
-            if len(cands) < 2:
-                raise DataFormatError(f"line {line_no}: need at least 2 candidates")
-            if len(rel) != len(cands):
+
+    def parse(rec) -> RankingInstance:
+        iid, user, cands, rel = rec["instance_id"], rec["user"], rec["candidates"], rec["relevance"]
+        if iid in seen:
+            raise DataFormatError(f"duplicate instance_id {iid!r}")
+        seen.add(iid)
+        if len(cands) < 2:
+            raise DataFormatError("need at least 2 candidates")
+        if len(rel) != len(cands):
+            raise DataFormatError(f"relevance length {len(rel)} != candidates {len(cands)}")
+        profile = tuple(int(t) for t in user["profile_tokens"])
+
+        def tokens(entry, what):
+            if len(entry["tokens"]) != len(profile):
                 raise DataFormatError(
-                    f"line {line_no}: relevance length {len(rel)} != candidates {len(cands)}"
+                    f"{what} tokens length {len(entry['tokens'])} != m={len(profile)}"
                 )
-            m = len(_require(user, "profile_tokens", line_no))
-            history = []
-            for ev in _require(user, "history", line_no):
-                tokens = _require(ev, "tokens", line_no)
-                if len(tokens) != m:
-                    raise DataFormatError(
-                        f"line {line_no}: history tokens length {len(tokens)} != m={m}"
-                    )
-                history.append(
-                    HistoryEvent(
-                        item_id=_require(ev, "item_id", line_no),
-                        tokens=tuple(int(t) for t in tokens),
-                        t=int(_require(ev, "t", line_no)),
-                    )
-                )
-            candidates = []
-            for c in cands:
-                tokens = _require(c, "tokens", line_no)
-                if len(tokens) != m:
-                    raise DataFormatError(
-                        f"line {line_no}: candidate tokens length {len(tokens)} != m={m}"
-                    )
-                candidates.append(
-                    CandidateItem(
-                        item_id=_require(c, "item_id", line_no),
-                        tokens=tuple(int(t) for t in tokens),
-                        train_frequency=int(_require(c, "train_frequency", line_no)),
-                    )
-                )
-            instances.append(
-                RankingInstance(
-                    instance_id=iid,
-                    ctx=UserContext(
-                        user_id=_require(user, "id", line_no),
-                        profile_tokens=tuple(int(t) for t in user["profile_tokens"]),
-                        history=tuple(history),
-                    ),
-                    candidates=tuple(candidates),
-                    relevance=tuple(int(g) for g in rel),
-                )
+            return tuple(int(t) for t in entry["tokens"])
+
+        history = tuple(
+            HistoryEvent(item_id=ev["item_id"], tokens=tokens(ev, "history"), t=int(ev["t"]))
+            for ev in user["history"]
+        )
+        candidates = tuple(
+            CandidateItem(
+                item_id=c["item_id"],
+                tokens=tokens(c, "candidate"),
+                train_frequency=int(c["train_frequency"]),
             )
-    return instances, header
+            for c in cands
+        )
+        return RankingInstance(
+            instance_id=iid,
+            ctx=UserContext(user_id=user["id"], profile_tokens=profile, history=history),
+            candidates=candidates,
+            relevance=tuple(int(g) for g in rel),
+        )
+
+    return _read_jsonl(path, "instances", parse)
 
 
 def save_sft_jsonl(path, examples: list[SftExample], meta: dict | None = None) -> None:
-    header = {"schema": SCHEMA_VERSION, "kind": "sft", "count": len(examples)}
-    header.update(meta or {})
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "instance_id": ex.instance_id,
-                        "item_id": ex.item_id,
-                        "prefix": ex.prefix.tolist(),
-                        "target": ex.target.tolist(),
-                        "ground_truth": ex.ground_truth,
-                        "teacher_decision": ex.teacher_decision,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    records = [
+        {
+            "instance_id": ex.instance_id,
+            "item_id": ex.item_id,
+            "prefix": ex.prefix.tolist(),
+            "target": ex.target.tolist(),
+            "ground_truth": ex.ground_truth,
+            "teacher_decision": ex.teacher_decision,
+        }
+        for ex in examples
+    ]
+    _write_jsonl(path, "sft", records, meta)
+
+
+def _parse_sft(rec) -> SftExample:
+    prefix, target = (np.asarray(rec[key], dtype=np.int32) for key in ("prefix", "target"))
+    if prefix.ndim != 1 or target.ndim != 1:
+        raise DataFormatError("prefix and target must be lists of token ids")
+    return SftExample(
+        instance_id=rec["instance_id"],
+        item_id=rec["item_id"],
+        prefix=prefix,
+        target=target,
+        ground_truth=int(rec["ground_truth"]),
+        teacher_decision=int(rec["teacher_decision"]),
+    )
 
 
 def load_sft_jsonl(path) -> tuple[list[SftExample], dict]:
-    examples: list[SftExample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"line 1: invalid JSON header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
-            raise DataFormatError(f"line 1: expected header with schema={SCHEMA_VERSION}")
-        for line_no, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            examples.append(
-                SftExample(
-                    instance_id=_require(rec, "instance_id", line_no),
-                    item_id=_require(rec, "item_id", line_no),
-                    prefix=np.asarray(_require(rec, "prefix", line_no), dtype=np.int32),
-                    target=np.asarray(_require(rec, "target", line_no), dtype=np.int32),
-                    ground_truth=int(_require(rec, "ground_truth", line_no)),
-                    teacher_decision=int(_require(rec, "teacher_decision", line_no)),
-                )
-            )
-    return examples, header
+    return _read_jsonl(path, "sft", _parse_sft)

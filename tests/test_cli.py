@@ -113,6 +113,33 @@ def test_bad_config_fails_cleanly(tmp_path, capsys):
     assert "unknown key world.n_user" in err
 
 
+def test_unreadable_artifacts_fail_with_one_line(workdir, capsys):
+    cfg_path, out = workdir
+    for argv in (["gen-data"], ["build-sft"], ["train", "--stage", "sft"]):
+        assert run(cfg_path, out, *argv) == 0
+    test_split = out / "instances_test.jsonl"
+    clean = test_split.read_bytes()
+    test_split.write_bytes(clean + b"\xff\n")
+    bad_line = len(clean.splitlines()) + 1
+    metrics = out / "metrics_sft.csv"
+    lines = metrics.read_text().split("\n")
+    lines[2] = "x," + lines[2].split(",", 1)[1]  # the first row's step
+    metrics.write_text("\n".join(lines))
+    cases = (
+        (["eval"], cfg_path, f"{test_split}: line {bad_line}: 'utf-8' codec can't decode"),
+        (["report"], cfg_path, f"{metrics}: could not convert string to float: 'x'"),
+        (["eval"], out, f"Is a directory: '{out}'"),
+    )
+    for argv, config, message in cases:
+        capsys.readouterr()
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+    test_split.write_bytes(clean)
+    assert run(cfg_path, out, "eval") == 0
+
+
 def test_seed_override_changes_artifacts(workdir):
     cfg_path, out = workdir
     run(cfg_path, out, "gen-data")

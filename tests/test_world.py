@@ -394,6 +394,73 @@ def test_instances_jsonl_validation_errors(tmp_path):
     with pytest.raises(DataFormatError, match="line 2.*relevance length"):
         load_instances_jsonl(write([header, json.dumps(unbalanced)]))
 
+    with pytest.raises(DataFormatError, match="line 2: object of type 'int' has no len"):
+        load_instances_jsonl(write([header, json.dumps(dict(record, candidates=3))]))
+
+    lettered = json.loads(json.dumps(record))
+    lettered["candidates"][0]["tokens"] = [0, "a"]
+    with pytest.raises(DataFormatError, match="bad.jsonl: line 2: invalid literal"):
+        load_instances_jsonl(write([header, json.dumps(lettered)]))
+    check_common_faults(load_instances_jsonl, write, header, record, other_kind="sft")
+
+
+def check_common_faults(load, write, header, record, other_kind):
+    """Faults every JSONL loader turns into a DataFormatError naming the file and line."""
+    kind = json.loads(header)["kind"]
+    path = write([header, json.dumps(record)])
+    path.write_bytes(path.read_bytes() + b'{"item_id": "\xff"}\n')
+    with pytest.raises(DataFormatError, match="bad.jsonl: line 3: 'utf-8' codec can't decode"):
+        load(path)
+    with pytest.raises(DataFormatError, match="bad.jsonl: line 1: header count 1 != 0 records"):
+        load(write([header]))
+    for line in ("7", "[1, 2]", '"u1"', "null"):
+        with pytest.raises(DataFormatError, match="bad.jsonl: line 2: "):
+            load(write([header, line]))
+    wrong = json.dumps(dict(json.loads(header), kind=other_kind))
+    with pytest.raises(DataFormatError, match=f"line 1: expected kind '{kind}', got '{other_kind}'"):
+        load(write([wrong, json.dumps(record)]))
+
+
+def test_sft_jsonl_validation_errors(tmp_path):
+    header = json.dumps({"schema": 1, "kind": "sft", "count": 1})
+    record = {
+        "instance_id": "u1", "item_id": "i0", "prefix": [5, 6], "target": [7, 1],
+        "ground_truth": 1, "teacher_decision": 1,
+    }
+
+    def write(lines):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    loaded, _ = load_sft_jsonl(write([header, json.dumps(record)]))
+    assert loaded[0].prefix.tolist() == [5, 6]
+    with pytest.raises(DataFormatError, match="bad.jsonl: line 2: invalid literal"):
+        load_sft_jsonl(write([header, json.dumps(dict(record, prefix=[5, "a"]))]))
+    with pytest.raises(DataFormatError, match="line 2: missing field 'target'"):
+        load_sft_jsonl(write([header, json.dumps({k: v for k, v in record.items() if k != "target"})]))
+    with pytest.raises(DataFormatError, match="line 2: prefix and target must be lists"):
+        load_sft_jsonl(write([header, json.dumps(dict(record, target=7))]))
+    check_common_faults(load_sft_jsonl, write, header, record, other_kind="instances")
+
+
+def test_data_files_round_trip_byte_for_byte(tmp_path):
+    world = small_world()
+    vocab = Vocab(m=world.cfg.m, buckets=world.cfg.buckets)
+    instances, _ = build_instances(world, "valid", K=4, L=3)
+    kept, _ = build_sft_corpus(
+        instances, 0.1, seed=1, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab)
+    )
+    for save, load, records in (
+        (save_instances_jsonl, load_instances_jsonl, instances),
+        (save_sft_jsonl, load_sft_jsonl, kept),
+    ):
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        save(first, records, meta={"seed": world.seed})
+        loaded, header = load(first)
+        save(again, loaded, meta=header)
+        assert again.read_bytes() == first.read_bytes()
+
 
 def test_sft_jsonl_round_trip(tmp_path):
     world = small_world()

@@ -15,8 +15,10 @@ compared line by line:
 
 The metrics files are hashed without their last column, the wall clock. Every
 file embeds the config hash, so two checkouts compare only if their configs
-have the same fields. Last, `plrank verify` checks what the stages wrote
-against the config; the script exits nonzero if any command does.
+have the same fields. Each instance file and the teacher corpus is loaded and
+saved again, and the script exits nonzero if that changes a byte. Last,
+`plrank verify` checks what the stages wrote against the config; the script
+exits nonzero if any command does.
 
 Usage: python tools/fingerprint.py
 
@@ -48,7 +50,13 @@ from plrank.config import load_run_config, policy_config  # noqa: E402
 from plrank.policy import decode_slate, load_checkpoint  # noqa: E402
 from plrank.report import read_table  # noqa: E402
 from plrank.rng import substream  # noqa: E402
-from plrank.world import SPLITS, load_instances_jsonl  # noqa: E402
+from plrank.world import (  # noqa: E402
+    SPLITS,
+    load_instances_jsonl,
+    load_sft_jsonl,
+    save_instances_jsonl,
+    save_sft_jsonl,
+)
 
 SFT_STEPS = 40
 RL_STEPS = 30
@@ -70,6 +78,17 @@ def hash_files(*paths: Path):
     for path in paths:
         h.update(path.read_bytes())
     return h
+
+
+def check_round_trip(out: Path, load, save, *names: str) -> None:
+    """Load each data file and save it again in a subdirectory; no byte may change."""
+    again = out / "round_trip"
+    again.mkdir(exist_ok=True)
+    for name in names:
+        records, header = load(out / name)
+        save(again / name, records, meta=header)
+        if (again / name).read_bytes() != (out / name).read_bytes():
+            raise SystemExit(f"{name}: loading and saving it again changed its bytes")
 
 
 def hash_metrics(h, path: Path) -> None:
@@ -113,9 +132,12 @@ def main() -> int:
         config.write_text(json.dumps({"sft": {"steps": SFT_STEPS}, "rl": {"steps": RL_STEPS}}))
         common = ("--config", str(config), "--out", str(out))
         run("gen-data", *common)
-        parts["instances"] = hash_files(*(out / f"instances_{split}.jsonl" for split in SPLITS))
+        instance_files = [f"instances_{split}.jsonl" for split in SPLITS]
+        parts["instances"] = hash_files(*(out / name for name in instance_files))
+        check_round_trip(out, load_instances_jsonl, save_instances_jsonl, *instance_files)
         run("build-sft", *common)
         parts["sft_corpus"] = hash_files(out / "sft.jsonl")
+        check_round_trip(out, load_sft_jsonl, save_sft_jsonl, "sft.jsonl")
         run("train", "--stage", "sft", *common)
         parts["sft"] = hash_files(out / "sft_model.bin")
         hash_metrics(parts["sft"], out / "metrics_sft.csv")
