@@ -90,12 +90,11 @@ def _instances_path(out: Path, split: str) -> Path:
     return out / f"instances_{split}.jsonl"
 
 
-def _load_instances(out: Path, split: str):
+def _load_instances(out: Path, split: str, vocab):
     path = _instances_path(out, split)
     if not path.exists():
         raise DataFormatError(f"missing {path}; run gen-data first")
-    instances, header = load_instances_jsonl(path)
-    return instances, header
+    return load_instances_jsonl(path, vocab)
 
 
 def _serialize_fn(vocab):
@@ -134,7 +133,7 @@ def cmd_build_sft(args) -> int:
     out = _out_dir(args)
     pcfg = policy_config(cfg)
     vocab = pcfg.vocab()
-    instances, _ = _load_instances(out, "train")
+    instances, _ = _load_instances(out, "train", vocab)
     examples, stats = build_sft_corpus(
         instances,
         cfg.data.noise_rate,
@@ -169,7 +168,7 @@ def cmd_train(args) -> int:
         sft_path = out / "sft.jsonl"
         if not sft_path.exists():
             raise DataFormatError(f"missing {sft_path}; run build-sft first")
-        examples, _ = load_sft_jsonl(sft_path)
+        examples, _ = load_sft_jsonl(sft_path, pcfg.vocab())
         if args.init is not None:
             params, _, _ = load_checkpoint(args.init)
         else:
@@ -182,7 +181,7 @@ def cmd_train(args) -> int:
         final = -rows[-1]["ppo_obj"] if rows else float("nan")
         print(f"train sft: {len(rows)} steps, final nll {final:.4f}")
         return 0
-    instances, _ = _load_instances(out, "train")
+    instances, _ = _load_instances(out, "train", pcfg.vocab())
     init_path = args.init if args.init is not None else out / "sft_model.bin"
     if not Path(init_path).exists():
         raise DataFormatError(f"missing init checkpoint {init_path}; train the sft stage first")
@@ -216,7 +215,7 @@ def _load_model(args, out: Path, cfg: RunConfig):
 
 
 def _eval_instances(cfg: RunConfig, out: Path):
-    instances, _ = _load_instances(out, cfg.eval.split)
+    instances, _ = _load_instances(out, cfg.eval.split, policy_config(cfg).vocab())
     if cfg.eval.max_instances:
         instances = instances[: cfg.eval.max_instances]
     return instances

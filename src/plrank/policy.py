@@ -18,6 +18,8 @@ and MLP only at the columns a caller reads (`window`).
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -150,9 +152,25 @@ def serialize_candidates(items: Sequence[CandidateItem], vocab: Vocab) -> np.nda
     return out
 
 
+# (ctx, vocab, read-only serialize_user(ctx, vocab)) of the last serialize_context
+# call. The references keep both objects alive, so their identity stays theirs.
+_last_user: tuple = (None, None, None)
+
+
 def serialize_context(ctx: UserContext, item: CandidateItem, vocab: Vocab) -> np.ndarray:
-    """[profile attrs] [history attrs, SEP between events] SEP [candidate attrs] BOS."""
-    return np.concatenate([serialize_user(ctx, vocab), serialize_candidates((item,), vocab)[0]])
+    """[profile attrs] [history attrs, SEP between events] SEP [candidate attrs] BOS.
+
+    Called with the same `ctx` and `vocab` objects as the last call, as for a
+    slate's candidates in turn, it reuses that call's user part. Every call
+    returns a new array.
+    """
+    global _last_user
+    last_ctx, last_vocab, user = _last_user
+    if ctx is not last_ctx or vocab is not last_vocab:
+        user = serialize_user(ctx, vocab)
+        user.flags.writeable = False
+        _last_user = (ctx, vocab, user)
+    return np.concatenate([user, serialize_candidates((item,), vocab)[0]])
 
 
 def prefix_length(m: int, history_len: int) -> int:
@@ -631,13 +649,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int]:
     read, bytes that do not decode) is a DataFormatError that names the file."""
 
     def read(fh, n, what):
-        data = fh.read(n)
+        # a length is checked against the bytes left first, so a forged one allocates nothing
+        data = fh.read(n) if n <= size - fh.tell() else b""
         if len(data) != n:
             raise DataFormatError(f"checkpoint truncated while reading {what}")
         return data
 
     try:
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             if read(fh, 4, "magic") != CHECKPOINT_MAGIC:
                 raise DataFormatError("not a checkpoint: bad magic")
             version, seed, hash_len = struct.unpack("<IQI", read(fh, 16, "header"))
@@ -651,8 +671,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str, int]:
                 name = read(fh, name_len, "name").decode("utf-8")
                 (rank,) = struct.unpack("<I", read(fh, 4, "rank"))
                 shape = struct.unpack(f"<{rank}Q", read(fh, 8 * rank, "dims"))
-                n_elem = int(np.prod(shape)) if rank else 1
-                data = np.frombuffer(read(fh, 8 * n_elem, f"tensor {name}"), dtype="<f8")
+                # math.prod of Python ints cannot overflow, as np.prod's int64 can
+                data = np.frombuffer(read(fh, 8 * math.prod(shape), f"tensor {name}"), dtype="<f8")
                 params[name] = data.reshape(shape).copy()
             if fh.read(1):
                 raise DataFormatError("trailing bytes after final tensor")

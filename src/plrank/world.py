@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,6 +112,11 @@ class World:
     item_latents: np.ndarray    # (n_items, m) in (-1, 1)
     item_buckets: np.ndarray    # (n_items, m) ints in [0, buckets)
     popularity: np.ndarray      # (n_items,) Zipf weights, sums to 1
+    # Each train user's (pool, positives) from the last `train_positive_counts`,
+    # until the next `build_instances` takes them; see there.
+    train_events: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def item_id(self, idx: int) -> str:
         return f"i{int(idx)}"
@@ -197,17 +202,30 @@ def user_events(world: World, user_index: int) -> UserEvents:
     )
 
 
-def _positive_for_user(world: World, user_index: int) -> int:
-    return int(user_events(world, user_index).positives[-1])
-
-
 def train_positive_counts(world: World) -> np.ndarray:
-    """How often each item is a training positive; drives cold-start strata."""
-    counts = np.zeros(world.cfg.n_items, dtype=np.int64)
-    for uidx in range(world.cfg.n_users):
+    """How often each item is a training positive; drives cold-start strata.
+
+    Each train user's exposure pool and positives, what `build_instances`
+    reads of their events, stay on the world as read-only int16 arrays (int32
+    past 32,768 items) until the next `build_instances` call on it takes them.
+    """
+    cfg = world.cfg
+    dtype = np.int16 if cfg.n_items <= 2**15 else np.int32
+    counts = np.zeros(cfg.n_items, dtype=np.int64)
+    kept = {}
+    for uidx in range(cfg.n_users):
         if split_of_user(world.seed, uidx) == "train":
-            counts[_positive_for_user(world, uidx)] += 1
+            events = user_events(world, uidx)
+            counts[int(events.positives[-1])] += 1
+            kept[uidx] = (_frozen(events.pool, dtype), _frozen(events.positives, dtype))
+    world.train_events = kept
     return counts
+
+
+def _frozen(values: np.ndarray, dtype) -> np.ndarray:
+    out = values.astype(dtype)
+    out.flags.writeable = False
+    return out
 
 
 def build_instances(
@@ -222,7 +240,14 @@ def build_instances(
     Each instance: the user's most recent positive held out as the single
     relevant candidate, K-1 negatives sampled by popularity from the
     non-relevant exposure pool, presentation order shuffled per instance.
+
+    The events that the last `train_positive_counts` on this world kept are
+    taken off it, whatever the split, and used for this split's users; every
+    other user's are derived by `user_events`.
     """
+    if train_counts is None:
+        train_counts = train_positive_counts(world)
+    kept, world.train_events = world.train_events or {}, None
     if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}")
     cfg = world.cfg
@@ -230,8 +255,6 @@ def build_instances(
         raise ConfigError(f"K must be in [2, n_items], got {K}")
     if L < 0:
         raise ConfigError(f"L must be >= 0, got {L}")
-    if train_counts is None:
-        train_counts = train_positive_counts(world)
     streams = KeyedStreams(world.seed)
     stats = BuildStats()
     instances: list[RankingInstance] = []
@@ -244,16 +267,21 @@ def build_instances(
     for uidx in range(cfg.n_users):
         if split_of_user(world.seed, uidx) != split:
             continue
-        events = user_events(world, uidx)
-        if events.positives.size == 0:
+        if uidx in kept:
+            pool, positives = kept[uidx]
+        else:
+            events = user_events(world, uidx)
+            pool, positives = events.pool, events.positives
+        if positives.size == 0:
             stats.skipped_no_positive += 1
             continue
-        positive = int(events.positives[-1])
-        earlier = events.positives[:-1]
+        positive = int(positives[-1])
+        earlier = positives[:-1]
         target_len = int(streams.stream("histlen", uidx).geometric(cfg.history_geom_p))
         hist_len = min(L, earlier.size, target_len)
         hist_items = earlier[earlier.size - hist_len :]
-        non_relevant = events.pool[~np.isin(events.pool, events.relevant)]
+        # the positives are the relevant items in another order
+        non_relevant = pool[~np.isin(pool, positives)]
         if non_relevant.size < K - 1:
             stats.skipped_few_negatives += 1
             continue
@@ -491,8 +519,12 @@ def save_instances_jsonl(path, instances, meta: dict | None = None) -> None:
     _write_jsonl(path, "instances", records, meta)
 
 
-def load_instances_jsonl(path) -> tuple[list[RankingInstance], dict]:
-    """Parse and validate an instance file; errors name the file and line."""
+def load_instances_jsonl(path, vocab=None) -> tuple[list[RankingInstance], dict]:
+    """Parse and validate an instance file; errors name the file and line.
+
+    Every token run must have as many tokens as the profile, or with a `vocab`
+    its m tokens, each a bucket below its `buckets`.
+    """
     seen: set[str] = set()
 
     def parse(rec) -> RankingInstance:
@@ -504,23 +536,26 @@ def load_instances_jsonl(path) -> tuple[list[RankingInstance], dict]:
             raise DataFormatError("need at least 2 candidates")
         if len(rel) != len(cands):
             raise DataFormatError(f"relevance length {len(rel)} != candidates {len(cands)}")
-        profile = tuple(int(t) for t in user["profile_tokens"])
+        m = len(user["profile_tokens"]) if vocab is None else vocab.m
 
-        def tokens(entry, what):
-            if len(entry["tokens"]) != len(profile):
-                raise DataFormatError(
-                    f"{what} tokens length {len(entry['tokens'])} != m={len(profile)}"
-                )
-            return tuple(int(t) for t in entry["tokens"])
+        def tokens(values, what):
+            if len(values) != m:
+                raise DataFormatError(f"{what} tokens length {len(values)} != m={m}")
+            values = tuple(int(t) for t in values)
+            if vocab is not None and (min(values) < 0 or max(values) >= vocab.buckets):
+                bad = next(t for t in values if not 0 <= t < vocab.buckets)
+                raise DataFormatError(f"{what} bucket {bad} out of range [0, {vocab.buckets})")
+            return values
 
+        profile = tokens(user["profile_tokens"], "profile")
         history = tuple(
-            HistoryEvent(item_id=ev["item_id"], tokens=tokens(ev, "history"), t=int(ev["t"]))
+            HistoryEvent(item_id=ev["item_id"], tokens=tokens(ev["tokens"], "history"), t=int(ev["t"]))
             for ev in user["history"]
         )
         candidates = tuple(
             CandidateItem(
                 item_id=c["item_id"],
-                tokens=tokens(c, "candidate"),
+                tokens=tokens(c["tokens"], "candidate"),
                 train_frequency=int(c["train_frequency"]),
             )
             for c in cands
@@ -550,10 +585,15 @@ def save_sft_jsonl(path, examples: list[SftExample], meta: dict | None = None) -
     _write_jsonl(path, "sft", records, meta)
 
 
-def _parse_sft(rec) -> SftExample:
+def _parse_sft(rec, vocab) -> SftExample:
     prefix, target = (np.asarray(rec[key], dtype=np.int32) for key in ("prefix", "target"))
     if prefix.ndim != 1 or target.ndim != 1:
         raise DataFormatError("prefix and target must be lists of token ids")
+    if vocab is not None:
+        for what, ids in (("prefix", prefix), ("target", target)):
+            bad = ids[(ids < 0) | (ids >= vocab.size)]
+            if bad.size:
+                raise DataFormatError(f"{what} token {bad[0]} out of range [0, {vocab.size})")
     return SftExample(
         instance_id=rec["instance_id"],
         item_id=rec["item_id"],
@@ -564,5 +604,6 @@ def _parse_sft(rec) -> SftExample:
     )
 
 
-def load_sft_jsonl(path) -> tuple[list[SftExample], dict]:
-    return _read_jsonl(path, "sft", _parse_sft)
+def load_sft_jsonl(path, vocab=None) -> tuple[list[SftExample], dict]:
+    """Parse and validate a teacher corpus; with a `vocab`, every token must be one of its ids."""
+    return _read_jsonl(path, "sft", lambda rec: _parse_sft(rec, vocab))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -289,3 +290,57 @@ def test_verify_checks_the_metrics_header(workdir, capsys):
     capsys.readouterr()
     assert run(cfg_path, out, "verify") == 2
     assert f"metrics_sft.csv: columns {old} != " in capsys.readouterr().err
+
+
+def test_tokens_outside_the_vocabulary_fail_with_one_line(workdir, capsys):
+    cfg_path, out = workdir
+    for argv in (["gen-data"], ["build-sft"], ["train", "--stage", "sft"]):
+        assert run(cfg_path, out, *argv) == 0
+    assert TINY_CONFIG["world"]["buckets"] == 3  # so the vocabulary has 8 + 3 * 3 ids
+
+    def candidate(record):
+        record["candidates"][1]["tokens"][0] = 99
+
+    def profile(record):
+        record["user"]["profile_tokens"][2] = 99
+
+    def target(record):
+        record["target"][0] = 99
+
+    cases = (
+        ("instances_train.jsonl", candidate, ["build-sft"], "line 2: candidate bucket 99 out of range [0, 3)"),
+        ("instances_train.jsonl", candidate, ["train", "--stage", "rl"], "line 2: candidate bucket 99"),
+        ("instances_test.jsonl", profile, ["eval"], "line 2: profile bucket 99 out of range [0, 3)"),
+        ("sft.jsonl", target, ["train", "--stage", "sft"], "line 2: target token 99 out of range [0, 17)"),
+    )
+    for name, damage, argv, message in cases:
+        path = out / name
+        clean = path.read_bytes()
+        header, first, rest = clean.decode().split("\n", 2)
+        record = json.loads(first)
+        damage(record)
+        path.write_text("\n".join([header, json.dumps(record, sort_keys=True), rest]))
+        capsys.readouterr()
+        assert run(cfg_path, out, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: DataFormatError: {path}: {message}") and err.count("\n") == 1
+        path.write_bytes(clean)
+    assert run(cfg_path, out, "eval") == 0
+
+
+def test_forged_checkpoint_dims_fail_with_one_line(workdir, capsys):
+    cfg_path, out = workdir
+    for argv in (["gen-data"], ["build-sft"], ["train", "--stage", "sft"]):
+        assert run(cfg_path, out, *argv) == 0
+    raw = (out / "sft_model.bin").read_bytes()
+    (hash_len,) = struct.unpack("<I", raw[16:20])
+    (name_len,) = struct.unpack("<I", raw[24 + hash_len : 28 + hash_len])
+    rank_at = 28 + hash_len + name_len  # the first tensor's rank, then its dims
+    assert struct.unpack("<I", raw[rank_at : rank_at + 4])[0] >= 1
+    forged = out / "forged.bin"
+    forged.write_bytes(raw[: rank_at + 4] + struct.pack("<Q", 2**59) + raw[rank_at + 12 :])  # its first dim
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(forged), "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: DataFormatError: {forged}: checkpoint truncated while reading tensor ")
+    assert err.count("\n") == 1

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,29 @@ def test_serialize_context_worked_example():
 
     with pytest.raises(ContractViolation):
         serialize_context(empty, CandidateItem(item_id="d", tokens=(1,), train_frequency=0), v)
+
+
+def test_serialize_context_reuses_the_user_part_only_for_the_same_objects():
+    v = Vocab(m=2, buckets=4)
+
+    def user(first_bucket):
+        history = (HistoryEvent(item_id="a", tokens=(first_bucket, 2), t=0),)
+        return UserContext(user_id="u0", profile_tokens=(1, 3), history=history)
+
+    items = [CandidateItem(item_id=f"c{b}", tokens=(b, 3 - b), train_frequency=0) for b in range(4)]
+    wider = Vocab(m=2, buckets=5)  # other ids for the same buckets
+    ctx = user(0)
+    for item in items:
+        got = serialize_context(ctx, item, v)
+        got[:] = 0  # a returned prefix is the caller's own
+        again = serialize_context(ctx, item, v)
+        wide = serialize_context(ctx, item, wider)
+        # each equals a call on an equal but distinct context
+        assert np.array_equal(again, serialize_context(user(0), item, v))
+        assert np.array_equal(wide, serialize_context(user(0), item, wider))
+    # a different user with the same vocab is serialized afresh
+    assert serialize_context(user(3), items[0], v)[2] == v.attr(0, 3)
+    assert serialize_context(ctx, items[0], v)[2] == v.attr(0, 0)
 
 
 def test_prefix_length_matches_serialization():
@@ -466,6 +491,28 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad_version.write_bytes(raw[:4] + b"\x07\x00\x00\x00" + raw[8:])
     with pytest.raises(DataFormatError, match="version"):
         load_checkpoint(bad_version)
+
+
+@pytest.mark.parametrize("dims", [(2**59,), (2**29,), (2**32, 2**32)])
+def test_checkpoint_checks_a_tensors_size_before_reading_it(tmp_path, dims):
+    """Forged dims are a DataFormatError, and nothing the size of their claim is allocated."""
+    path = tmp_path / "model.bin"
+    params = {"a": np.arange(6.0).reshape(2, 3)}
+    save_checkpoint(path, params, "cafe", seed=1)
+    raw = path.read_bytes()
+    at = raw.index(struct.pack("<I", 2) + struct.pack("<2Q", 2, 3))  # tensor a's rank, then its dims
+    forged = tmp_path / "forged.bin"
+    forged.write_bytes(
+        raw[:at] + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + raw[at + 4 + 16 :]
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="forged.bin: checkpoint truncated while reading tensor a"):
+            load_checkpoint(forged)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_init_logits_are_near_uniform():

@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
+import plrank.world
 from plrank.errors import ConfigError, DataFormatError
 from plrank.policy import Vocab, serialize_context
 from plrank.rng import substream
 from plrank.world import (
+    SPLITS,
     CandidateItem,
     HistoryEvent,
     UserContext,
@@ -328,6 +330,66 @@ def test_train_frequency_matches_emitted_train_positives():
     for inst in instances[:20]:
         for cand in inst.candidates:
             assert cand.train_frequency == counts[int(cand.item_id[1:])]
+
+
+def test_instances_are_the_same_with_the_counts_events_kept(tmp_path):
+    """The events `train_positive_counts` keeps give every split the bytes a fresh derivation gives."""
+    counts = train_positive_counts(small_world())
+
+    def saved(world, split, name):
+        instances, _ = build_instances(world, split, K=8, L=5, train_counts=counts)
+        save_instances_jsonl(tmp_path / name, instances, meta={"split": split})
+        return (tmp_path / name).read_bytes()
+
+    for split in SPLITS:
+        # counts run on a distinct but equal world: nothing kept applies
+        reference = saved(small_world(), split, "reference.jsonl")
+        same = small_world()
+        train_positive_counts(same)
+        assert same.train_events is not None
+        assert saved(same, split, "same.jsonl") == reference
+        assert same.train_events is None
+        between = small_world()
+        train_positive_counts(between)
+        saved(between, next(s for s in SPLITS if s != split), "other.jsonl")
+        assert saved(between, split, "between.jsonl") == reference
+        instances, _ = build_instances(small_world(), split, K=8, L=5)  # counts made inside
+        save_instances_jsonl(tmp_path / "inside.jsonl", instances, meta={"split": split})
+        assert (tmp_path / "inside.jsonl").read_bytes() == reference
+
+
+def test_each_train_users_events_are_derived_once(monkeypatch):
+    calls = []
+
+    def counting(world, uidx):
+        calls.append(uidx)
+        return user_events(world, uidx)
+
+    monkeypatch.setattr(plrank.world, "user_events", counting)
+    world = small_world()
+    train_users = [u for u in range(world.cfg.n_users) if split_of_user(world.seed, u) == "train"]
+    counts = train_positive_counts(world)
+    build_instances(world, "train", K=8, L=5, train_counts=counts)
+    assert sorted(calls) == train_users
+    # the next build took them all: a second train build derives every user again
+    calls.clear()
+    build_instances(world, "train", K=8, L=5, train_counts=counts)
+    assert sorted(calls) == train_users
+    # a build of another split drops them unused
+    train_positive_counts(world)
+    build_instances(world, "test", K=8, L=5, train_counts=counts)
+    assert world.train_events is None
+    calls.clear()
+    build_instances(world, "train", K=8, L=5, train_counts=counts)
+    assert sorted(calls) == train_users
+
+
+def test_kept_events_are_read_only():
+    world = small_world()
+    train_positive_counts(world)
+    for pool, positives in world.train_events.values():
+        assert pool.dtype == positives.dtype == np.int16
+        assert not pool.flags.writeable and not positives.flags.writeable
 
 
 def test_cold_start_items_exist_in_test_split():

@@ -16,7 +16,11 @@ compared line by line:
 The metrics files are hashed without their last column, the wall clock. Every
 file embeds the config hash, so two checkouts compare only if their configs
 have the same fields. Each instance file and the teacher corpus is loaded and
-saved again, and the script exits nonzero if that changes a byte. Last,
+saved again, and the script exits nonzero if that changes a byte. Each split
+is also built again in this process on a fresh world, with the train counts
+taken from a second one, so no user's events carry over from the counts to a
+split; the script exits nonzero if that changes a byte of what `gen-data`
+wrote. Last,
 `plrank verify` checks what the stages wrote against the config; the script
 exits nonzero if any command does.
 
@@ -52,10 +56,13 @@ from plrank.report import read_table  # noqa: E402
 from plrank.rng import substream  # noqa: E402
 from plrank.world import (  # noqa: E402
     SPLITS,
+    build_instances,
+    generate_world,
     load_instances_jsonl,
     load_sft_jsonl,
     save_instances_jsonl,
     save_sft_jsonl,
+    train_positive_counts,
 )
 
 SFT_STEPS = 40
@@ -89,6 +96,21 @@ def check_round_trip(out: Path, load, save, *names: str) -> None:
         save(again / name, records, meta=header)
         if (again / name).read_bytes() != (out / name).read_bytes():
             raise SystemExit(f"{name}: loading and saving it again changed its bytes")
+
+
+def check_rebuild(out: Path, config: Path) -> None:
+    """Build every split again with no events kept from the counts; no byte may change."""
+    cfg = load_run_config(config)
+    counts = train_positive_counts(generate_world(cfg.world, cfg.seed))
+    again = out / "rebuilt"
+    again.mkdir(exist_ok=True)
+    for split in SPLITS:
+        name = f"instances_{split}.jsonl"
+        world = generate_world(cfg.world, cfg.seed)
+        instances, _ = build_instances(world, split, K=cfg.data.K, L=cfg.data.L, train_counts=counts)
+        save_instances_jsonl(again / name, instances, meta=load_instances_jsonl(out / name)[1])
+        if (again / name).read_bytes() != (out / name).read_bytes():
+            raise SystemExit(f"{name}: building it without the counts' events changed its bytes")
 
 
 def hash_metrics(h, path: Path) -> None:
@@ -135,6 +157,7 @@ def main() -> int:
         instance_files = [f"instances_{split}.jsonl" for split in SPLITS]
         parts["instances"] = hash_files(*(out / name for name in instance_files))
         check_round_trip(out, load_instances_jsonl, save_instances_jsonl, *instance_files)
+        check_rebuild(out, config)
         run("build-sft", *common)
         parts["sft_corpus"] = hash_files(out / "sft.jsonl")
         check_round_trip(out, load_sft_jsonl, save_sft_jsonl, "sft.jsonl")
