@@ -27,7 +27,6 @@ from .world import (
     build_instances,
     build_sft_corpus,
     generate_world,
-    oracle_teacher,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +51,6 @@ __all__ = [
     "init_params",
     "load_run_config",
     "ndcg",
-    "oracle_teacher",
     "pl_grad_scores",
     "pl_log_prob",
     "pl_sample",

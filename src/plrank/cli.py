@@ -182,6 +182,12 @@ def cmd_train(args) -> int:
         print(f"train sft: {len(rows)} steps, final nll {final:.4f}")
         return 0
     instances, _ = _load_instances(out, "train", pcfg.vocab())
+    # the reward, NDCG, is undefined for a slate with no relevant candidate
+    unjudged = [inst.instance_id for inst in instances if not any(inst.relevance)]
+    if unjudged:
+        raise DataFormatError(
+            f"{_instances_path(out, 'train')}: instance {unjudged[0]!r} has no relevant candidate"
+        )
     init_path = args.init if args.init is not None else out / "sft_model.bin"
     if not Path(init_path).exists():
         raise DataFormatError(f"missing init checkpoint {init_path}; train the sft stage first")

@@ -110,6 +110,7 @@ INDUSTRIAL_TIERS = (
     ("low", 1, 5),
     ("high", 6, None),
 )
+HISTORY_BINS = (0, 1, 4, 10)  # lower edges, ascending
 
 
 def frequency_quartile_edges(frequencies: np.ndarray) -> np.ndarray:
@@ -117,7 +118,7 @@ def frequency_quartile_edges(frequencies: np.ndarray) -> np.ndarray:
     return np.quantile(np.asarray(frequencies, dtype=np.float64), [0.25, 0.5, 0.75])
 
 
-def stratify(report: EvalReport, cutoff: int, history_bins: tuple[int, ...] = (0, 1, 4, 10)) -> dict:
+def stratify(report: EvalReport, cutoff: int) -> dict:
     """Mean quality by popularity quartile, industrial tier, and history bin."""
     if cutoff not in report.cutoffs:
         raise ContractViolation(f"cutoff {cutoff} was not evaluated")
@@ -139,9 +140,8 @@ def stratify(report: EvalReport, cutoff: int, history_bins: tuple[int, ...] = (0
     for name, lo, hi in INDUSTRIAL_TIERS:
         mask = freqs >= lo if hi is None else (freqs >= lo) & (freqs <= hi)
         out["industrial_tiers"][name] = cell(mask)
-    bins = sorted(history_bins)
-    for i, lo in enumerate(bins):
-        hi = bins[i + 1] - 1 if i + 1 < len(bins) else None
+    for i, lo in enumerate(HISTORY_BINS):
+        hi = HISTORY_BINS[i + 1] - 1 if i + 1 < len(HISTORY_BINS) else None
         mask = hist >= lo if hi is None else (hist >= lo) & (hist <= hi)
         label = f"{lo}+" if hi is None else (f"{lo}" if hi == lo else f"{lo}-{hi}")
         out["history_bins"][label] = cell(mask)

@@ -7,7 +7,6 @@ that depends on locale), so identical runs produce identical files.
 from __future__ import annotations
 
 import csv
-import io
 import json
 
 import numpy as np
@@ -47,15 +46,25 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def _write_table(path, kind: str, config_hash: str, seed: int, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
-    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+class TableWriter:
+    """A report table over an open text file: the report header (kind, config
+    hash and seed), the column names, then one `write` per row, every cell
+    through `format_cell`."""
+
+    def __init__(self, fh, kind: str, config_hash: str, seed: int, columns):
         fh.write(report_header(kind, config_hash, seed) + "\n")
-        fh.write(buf.getvalue())
+        self._writer = csv.writer(fh, lineterminator="\n")
+        self._writer.writerow(columns)
+
+    def write(self, row) -> None:
+        self._writer.writerow([format_cell(v) for v in row])
+
+
+def _write_table(path, kind: str, config_hash: str, seed: int, header: list[str], rows) -> None:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+        table = TableWriter(fh, kind, config_hash, seed, header)
+        for row in rows:
+            table.write(row)
 
 
 def read_table(path) -> tuple[dict, list[str], list[list[str]]]:
@@ -145,17 +154,35 @@ def summarize_history_probe(rows: list[list[str]]) -> HistoryShuffleResult:
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 20, 40, 50
+_PLOT_W, _PLOT_H = _W - _ML - _MR, _H - _MT - _MB
 
 
-def _svg_open(title: str, config_hash: str, seed: int) -> list[str]:
-    return [
+def _write_svg(
+    path, title: str, config_hash: str, seed: int, body: list[str], x_label: str, y_label: str | None = None
+) -> None:
+    """The chart frame around `body`: the title and plot box before it, the
+    axis labels (x, then y if given) after it."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f"<desc>{report_header('svg', config_hash, seed)}</desc>",
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-family="monospace" '
         f'font-size="14">{title}</text>',
+        f'<rect x="{_ML}" y="{_MT}" width="{_PLOT_W}" height="{_PLOT_H}" '
+        f'fill="none" stroke="black"/>',
+        *body,
+        f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" font-family="monospace" '
+        f'font-size="12">{x_label}</text>',
     ]
+    if y_label is not None:
+        parts.append(
+            f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" font-family="monospace" '
+            f'font-size="12" transform="rotate(-90 16 {_H / 2:.1f})">{y_label}</text>'
+        )
+    parts.append("</svg>")
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -169,15 +196,9 @@ def _fmt_coord(x: float) -> str:
 
 
 def write_line_chart_svg(
-    path,
-    xs,
-    ys,
-    title: str,
-    config_hash: str,
-    seed: int,
-    x_label: str = "step",
-    y_label: str = "value",
+    path, xs, ys, title: str, config_hash: str, seed: int, y_label: str = "value"
 ) -> None:
+    """ys against the training steps xs."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.size != ys.size or xs.size == 0:
@@ -188,20 +209,14 @@ def write_line_chart_svg(
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-    plot_w = _W - _ML - _MR
-    plot_h = _H - _MT - _MB
 
     def px(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _ML + (x - x_lo) / (x_hi - x_lo) * _PLOT_W
 
     def py(y):
-        return _H - _MB - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _H - _MB - (y - y_lo) / (y_hi - y_lo) * _PLOT_H
 
-    parts = _svg_open(title, config_hash, seed)
-    parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="black"/>'
-    )
+    parts = []
     for t in _ticks(x_lo, x_hi):
         parts.append(
             f'<text x="{_fmt_coord(px(t))}" y="{_H - _MB + 18}" text-anchor="middle" '
@@ -214,48 +229,27 @@ def write_line_chart_svg(
         )
     points = " ".join(f"{_fmt_coord(px(x))},{_fmt_coord(py(y))}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
-    parts.append(
-        f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" font-family="monospace" '
-        f'font-size="12">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" font-family="monospace" '
-        f'font-size="12" transform="rotate(-90 16 {_H / 2:.1f})">{y_label}</text>'
-    )
-    parts.append("</svg>")
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, title, config_hash, seed, parts, "step", y_label)
 
 
 def write_grouped_bars_svg(
-    path,
-    groups: dict[str, np.ndarray],
-    title: str,
-    config_hash: str,
-    seed: int,
-    x_label: str = "rank",
+    path, groups: dict[str, np.ndarray], title: str, config_hash: str, seed: int
 ) -> None:
-    """One bar cluster per x position, one color-coded bar per group."""
+    """One bar cluster per rank, one color-coded bar per group."""
     if not groups:
         raise DataFormatError("bar chart needs at least one group")
     names = list(groups)
     depth = max(len(v) for v in groups.values())
     top = max(1, max(int(np.max(v)) if len(v) else 0 for v in groups.values()))
-    plot_w = _W - _ML - _MR
-    plot_h = _H - _MT - _MB
     palette = ("steelblue", "darkorange", "seagreen", "firebrick", "mediumpurple")
-    parts = _svg_open(title, config_hash, seed)
-    parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="black"/>'
-    )
-    cluster_w = plot_w / depth
+    parts = []
+    cluster_w = _PLOT_W / depth
     bar_w = cluster_w / (len(names) + 1)
     for gi, name in enumerate(names):
         values = groups[name]
         color = palette[gi % len(palette)]
         for rank in range(len(values)):
-            h = float(values[rank]) / top * plot_h
+            h = float(values[rank]) / top * _PLOT_H
             x = _ML + rank * cluster_w + (gi + 0.5) * bar_w
             y = _H - _MB - h
             parts.append(
@@ -272,10 +266,4 @@ def write_grouped_bars_svg(
             f'<text x="{_fmt_coord(x)}" y="{_H - _MB + 18}" text-anchor="middle" '
             f'font-family="monospace" font-size="10">{rank}</text>'
         )
-    parts.append(
-        f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" font-family="monospace" '
-        f'font-size="12">{x_label}</text>'
-    )
-    parts.append("</svg>")
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, title, config_hash, seed, parts, "rank")

@@ -15,7 +15,6 @@ last layer, like SFT's, runs only at the columns the objectives read.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from dataclasses import asdict, dataclass, fields
@@ -40,7 +39,7 @@ from .policy import (
     shared_prefix_length,
 )
 from .rank import batched_ndcg, pl_log_probs_and_grads, pl_sample_many
-from .report import format_cell, report_header
+from .report import TableWriter
 from .rng import KeyedStreams
 from .world import RankingInstance, SftExample
 
@@ -104,18 +103,11 @@ class Adam:
     names than the last lays the buffers out again, keeping every moment.
     """
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr_policy: float,
-        lr_head: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr_policy: float, lr_head: float):
         self.lr_policy = lr_policy
         self.lr_head = lr_head
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -154,20 +146,15 @@ class Adam:
             params[name] -= update[lo:hi].reshape(params[name].shape)
 
 
-class MetricsWriter:
-    """CSV log over an open text file; floats are written at full precision.
-
-    The first line is the report header (config hash and seed), as in every
-    report table, then the column names.
-    """
+class MetricsWriter(TableWriter):
+    """The metrics table over an open text file, one `write_row` per step;
+    a column with no value is left empty."""
 
     def __init__(self, fh, config_hash: str, seed: int):
-        fh.write(report_header("metrics", config_hash, seed) + "\n")
-        self._writer = csv.writer(fh, lineterminator="\n")
-        self._writer.writerow(METRICS_COLUMNS)
+        super().__init__(fh, "metrics", config_hash, seed, METRICS_COLUMNS)
 
     def write_row(self, **values) -> None:
-        self._writer.writerow([format_cell(values.get(col, "")) for col in METRICS_COLUMNS])
+        self.write([values.get(col, "") for col in METRICS_COLUMNS])
 
 
 def named_grads(pt: dict[str, Tensor], grads_by_node: dict[int, np.ndarray]) -> dict[str, np.ndarray]:

@@ -377,34 +377,6 @@ def teacher_targets(
     return np.split(tokens[keep].astype(np.int32), ends[:-1])
 
 
-def oracle_teacher(
-    ctx: UserContext,
-    item: CandidateItem,
-    ground_truth: int,
-    noise_rate: float,
-    rng: np.random.Generator,
-    vocab,
-    selfcheck_k: int = 2,
-) -> SftExample:
-    """One candidate's template rationale (see `teacher_targets`), with the
-    ground-truth decision flipped with probability noise_rate."""
-    decision = int(ground_truth)
-    if noise_rate > 0.0 and rng.random() < noise_rate:
-        decision = 1 - decision
-    cand = np.asarray([item.tokens], dtype=np.int64)
-    (target,) = teacher_targets(
-        history_array(ctx, cand.shape[1]), cand, np.array([decision]), vocab, selfcheck_k
-    )
-    return SftExample(
-        instance_id="",
-        item_id=item.item_id,
-        prefix=np.empty(0, dtype=np.int32),
-        target=target,
-        ground_truth=int(ground_truth),
-        teacher_decision=decision,
-    )
-
-
 def build_sft_corpus(
     instances,
     noise_rate: float,
@@ -415,9 +387,10 @@ def build_sft_corpus(
 ) -> tuple[list[SftExample], CorpusStats]:
     """Teacher every (instance, candidate) pair, keeping only correct decisions.
 
-    The same corpus as `oracle_teacher` on each pair with the stream
-    ("teacher", instance_id, item_id), built a slate at a time: a flipped
-    decision is always a rejected one, so only the kept rows get a target.
+    Each pair's teacher decision is its ground truth, flipped when the first
+    draw of the stream ("teacher", instance_id, item_id) falls below
+    noise_rate. A flipped decision means the row is rejected, so the kept rows
+    get their `teacher_targets` a slate at a time.
     """
     stats = CorpusStats()
     kept: list[SftExample] = []
@@ -522,13 +495,20 @@ def save_instances_jsonl(path, instances, meta: dict | None = None) -> None:
 def load_instances_jsonl(path, vocab=None) -> tuple[list[RankingInstance], dict]:
     """Parse and validate an instance file; errors name the file and line.
 
-    Every token run must have as many tokens as the profile, or with a `vocab`
-    its m tokens, each a bucket below its `buckets`.
+    Every id must be a string and every grade 0 or 1. Every token run must
+    have as many tokens as the profile, or with a `vocab` its m tokens, each a
+    bucket below its `buckets`.
     """
     seen: set[str] = set()
 
+    def ident(value, what) -> str:
+        if not isinstance(value, str):
+            raise DataFormatError(f"{what} {value!r} is not a string")
+        return value
+
     def parse(rec) -> RankingInstance:
         iid, user, cands, rel = rec["instance_id"], rec["user"], rec["candidates"], rec["relevance"]
+        ident(iid, "instance_id")
         if iid in seen:
             raise DataFormatError(f"duplicate instance_id {iid!r}")
         seen.add(iid)
@@ -536,6 +516,10 @@ def load_instances_jsonl(path, vocab=None) -> tuple[list[RankingInstance], dict]
             raise DataFormatError("need at least 2 candidates")
         if len(rel) != len(cands):
             raise DataFormatError(f"relevance length {len(rel)} != candidates {len(cands)}")
+        grades = tuple(int(g) for g in rel)
+        bad = [g for g in grades if g not in (0, 1)]
+        if bad:
+            raise DataFormatError(f"relevance grade {bad[0]} is not 0 or 1")
         m = len(user["profile_tokens"]) if vocab is None else vocab.m
 
         def tokens(values, what):
@@ -549,12 +533,16 @@ def load_instances_jsonl(path, vocab=None) -> tuple[list[RankingInstance], dict]
 
         profile = tokens(user["profile_tokens"], "profile")
         history = tuple(
-            HistoryEvent(item_id=ev["item_id"], tokens=tokens(ev["tokens"], "history"), t=int(ev["t"]))
+            HistoryEvent(
+                item_id=ident(ev["item_id"], "history item_id"),
+                tokens=tokens(ev["tokens"], "history"),
+                t=int(ev["t"]),
+            )
             for ev in user["history"]
         )
         candidates = tuple(
             CandidateItem(
-                item_id=c["item_id"],
+                item_id=ident(c["item_id"], "candidate item_id"),
                 tokens=tokens(c["tokens"], "candidate"),
                 train_frequency=int(c["train_frequency"]),
             )
@@ -562,9 +550,9 @@ def load_instances_jsonl(path, vocab=None) -> tuple[list[RankingInstance], dict]
         )
         return RankingInstance(
             instance_id=iid,
-            ctx=UserContext(user_id=user["id"], profile_tokens=profile, history=history),
+            ctx=UserContext(user_id=ident(user["id"], "user id"), profile_tokens=profile, history=history),
             candidates=candidates,
-            relevance=tuple(int(g) for g in rel),
+            relevance=grades,
         )
 
     return _read_jsonl(path, "instances", parse)
@@ -589,18 +577,23 @@ def _parse_sft(rec, vocab) -> SftExample:
     prefix, target = (np.asarray(rec[key], dtype=np.int32) for key in ("prefix", "target"))
     if prefix.ndim != 1 or target.ndim != 1:
         raise DataFormatError("prefix and target must be lists of token ids")
+    if not prefix.size or not target.size:
+        raise DataFormatError("prefix and target must not be empty")
     if vocab is not None:
         for what, ids in (("prefix", prefix), ("target", target)):
             bad = ids[(ids < 0) | (ids >= vocab.size)]
             if bad.size:
                 raise DataFormatError(f"{what} token {bad[0]} out of range [0, {vocab.size})")
+    ground_truth, decision = int(rec["ground_truth"]), int(rec["teacher_decision"])
+    if ground_truth not in (0, 1) or decision not in (0, 1):
+        raise DataFormatError(f"ground_truth {ground_truth} and teacher_decision {decision} must be 0 or 1")
     return SftExample(
         instance_id=rec["instance_id"],
         item_id=rec["item_id"],
         prefix=prefix,
         target=target,
-        ground_truth=int(rec["ground_truth"]),
-        teacher_decision=int(rec["teacher_decision"]),
+        ground_truth=ground_truth,
+        teacher_decision=decision,
     )
 
 

@@ -307,12 +307,18 @@ def test_tokens_outside_the_vocabulary_fail_with_one_line(workdir, capsys):
     def target(record):
         record["target"][0] = 99
 
-    cases = (
+    check_damaged_first_records(cfg_path, out, capsys, (
         ("instances_train.jsonl", candidate, ["build-sft"], "line 2: candidate bucket 99 out of range [0, 3)"),
         ("instances_train.jsonl", candidate, ["train", "--stage", "rl"], "line 2: candidate bucket 99"),
         ("instances_test.jsonl", profile, ["eval"], "line 2: profile bucket 99 out of range [0, 3)"),
         ("sft.jsonl", target, ["train", "--stage", "sft"], "line 2: target token 99 out of range [0, 17)"),
-    )
+    ))
+
+
+def check_damaged_first_records(cfg_path, out, capsys, cases):
+    """Each (file, damage, command, message): with the file's first record
+    damaged, the command exits 2 with one `error: DataFormatError: <file>:
+    <message>` line, and passes again once the file is restored."""
     for name, damage, argv, message in cases:
         path = out / name
         clean = path.read_bytes()
@@ -326,6 +332,39 @@ def test_tokens_outside_the_vocabulary_fail_with_one_line(workdir, capsys):
         assert err.startswith(f"error: DataFormatError: {path}: {message}") and err.count("\n") == 1
         path.write_bytes(clean)
     assert run(cfg_path, out, "eval") == 0
+
+
+def test_bad_records_fail_with_one_line(workdir, capsys):
+    cfg_path, out = workdir
+    for argv in (["gen-data"], ["build-sft"], ["train", "--stage", "sft"]):
+        assert run(cfg_path, out, *argv) == 0
+    first_train_id = json.loads((out / "instances_train.jsonl").read_text().split("\n")[1])["instance_id"]
+
+    def integer_item_id(record):
+        record["candidates"][0]["item_id"] = 7
+
+    def grade(value):
+        def damage(record):
+            record["relevance"][0] = value
+        return damage
+
+    def no_relevant(record):
+        record["relevance"] = [0] * len(record["relevance"])
+
+    def empty(key):
+        def damage(record):
+            record[key] = []
+        return damage
+
+    sft, rl = ["train", "--stage", "sft"], ["train", "--stage", "rl"]
+    check_damaged_first_records(cfg_path, out, capsys, (
+        ("instances_test.jsonl", integer_item_id, ["eval"], "line 2: candidate item_id 7 is not a string"),
+        ("instances_test.jsonl", grade(-1), ["eval"], "line 2: relevance grade -1 is not 0 or 1"),
+        ("instances_test.jsonl", grade(2), ["eval"], "line 2: relevance grade 2 is not 0 or 1"),
+        ("sft.jsonl", empty("target"), sft, "line 2: prefix and target must not be empty"),
+        ("sft.jsonl", empty("prefix"), sft, "line 2: prefix and target must not be empty"),
+        ("instances_train.jsonl", no_relevant, rl, f"instance {first_train_id!r} has no relevant candidate"),
+    ))
 
 
 def test_forged_checkpoint_dims_fail_with_one_line(workdir, capsys):

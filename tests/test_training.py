@@ -93,7 +93,7 @@ def test_train_config_validation():
 def test_adam_first_step_matches_hand_calculation():
     params = {"w": np.array([1.0, -2.0]), "head.w": np.array([0.5])}
     grads = {"w": np.array([0.1, -0.2]), "head.w": np.array([0.3])}
-    opt = Adam(params, lr_policy=0.01, lr_head=0.1, eps=1e-8)
+    opt = Adam(params, lr_policy=0.01, lr_head=0.1)
     opt.step(params, grads)
     # after bias correction the first step is lr * g / (|g| + eps)
     assert params["w"][0] == pytest.approx(1.0 - 0.01 * (0.1 / (0.1 + 1e-8)), abs=1e-12)

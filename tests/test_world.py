@@ -13,9 +13,7 @@ from plrank.policy import Vocab, serialize_context
 from plrank.rng import substream
 from plrank.world import (
     SPLITS,
-    CandidateItem,
-    HistoryEvent,
-    UserContext,
+    SftExample,
     WorldConfig,
     _affinity,
     bucket_centers,
@@ -23,12 +21,13 @@ from plrank.world import (
     build_instances,
     build_sft_corpus,
     generate_world,
+    history_array,
     load_instances_jsonl,
     load_sft_jsonl,
-    oracle_teacher,
     save_instances_jsonl,
     save_sft_jsonl,
     split_of_user,
+    teacher_targets,
     train_positive_counts,
     user_events,
 )
@@ -172,14 +171,7 @@ def test_positive_affinity_dominates_negatives():
 
 def test_teacher_all_shared_and_empty_selfcheck():
     vocab = Vocab(m=3, buckets=4)
-    item = CandidateItem(item_id="i1", tokens=(0, 3, 2), train_frequency=0)
-    ctx = UserContext(
-        user_id="u0",
-        profile_tokens=(1, 1, 1),
-        history=(HistoryEvent(item_id="i1", tokens=(0, 3, 2), t=0),),
-    )
-    rng = substream(0, "t")
-    ex = oracle_teacher(ctx, item, 1, 0.0, rng, vocab)
+    (target,) = teacher_targets(np.array([[0, 3, 2]]), np.array([[0, 3, 2]]), np.array([1]), vocab)
     expected = [
         vocab.SEC_REASON,
         vocab.attr(0, 0),
@@ -190,19 +182,13 @@ def test_teacher_all_shared_and_empty_selfcheck():
         vocab.RECOMMEND,
         vocab.EOS,
     ]
-    assert ex.target.tolist() == expected
-    assert ex.teacher_decision == 1
+    assert target.tolist() == expected
+    assert target.dtype == np.int32
 
 
 def test_teacher_selfcheck_orders_by_disagreement():
     vocab = Vocab(m=3, buckets=4)
-    item = CandidateItem(item_id="i2", tokens=(0, 0, 0), train_frequency=0)
-    ctx = UserContext(
-        user_id="u0",
-        profile_tokens=(0, 0, 0),
-        history=(HistoryEvent(item_id="i9", tokens=(0, 3, 1), t=0),),
-    )
-    ex = oracle_teacher(ctx, item, 0, 0.0, substream(0, "t"), vocab)
+    (target,) = teacher_targets(np.array([[0, 3, 1]]), np.array([[0, 0, 0]]), np.array([0]), vocab)
     expected = [
         vocab.SEC_REASON,
         vocab.attr(0, 0),        # dim 0 shared
@@ -213,14 +199,13 @@ def test_teacher_selfcheck_orders_by_disagreement():
         vocab.NOT_RECOMMEND,
         vocab.EOS,
     ]
-    assert ex.target.tolist() == expected
+    assert target.tolist() == expected
 
 
 def test_teacher_empty_history_selfcheck_uses_dim_order():
     vocab = Vocab(m=4, buckets=4)
-    item = CandidateItem(item_id="i3", tokens=(1, 2, 3, 0), train_frequency=0)
-    ctx = UserContext(user_id="u0", profile_tokens=(0, 0, 0, 0), history=())
-    ex = oracle_teacher(ctx, item, 1, 0.0, substream(0, "t"), vocab, selfcheck_k=2)
+    no_history = np.empty((0, 4), dtype=np.int64)
+    (target,) = teacher_targets(no_history, np.array([[1, 2, 3, 0]]), np.array([1]), vocab, selfcheck_k=2)
     expected = [
         vocab.SEC_REASON,
         vocab.SEC_SELFCHECK,
@@ -230,20 +215,7 @@ def test_teacher_empty_history_selfcheck_uses_dim_order():
         vocab.RECOMMEND,
         vocab.EOS,
     ]
-    assert ex.target.tolist() == expected
-
-
-def test_teacher_noise_rate_flips_decisions():
-    vocab = Vocab(m=2, buckets=4)
-    item = CandidateItem(item_id="i4", tokens=(1, 1), train_frequency=0)
-    ctx = UserContext(user_id="u0", profile_tokens=(1, 1), history=())
-    rng = substream(3, "noise")
-    n = 4000
-    flips = sum(
-        oracle_teacher(ctx, item, 1, 0.3, rng, vocab).teacher_decision == 0 for _ in range(n)
-    )
-    se = np.sqrt(0.3 * 0.7 / n)
-    assert abs(flips / n - 0.3) < 4 * se
+    assert target.tolist() == expected
 
 
 def test_sft_corpus_filters_noisy_teachers():
@@ -273,19 +245,27 @@ def _per_pair_corpus(instances, noise_rate, seed, vocab, selfcheck_k):
     """The corpus built one (instance, candidate) pair at a time, each with its own stream."""
     kept, stats = [], {"kept": 0, "rejected": 0, "kept_positive": 0}
     for inst in instances:
+        hist = history_array(inst.ctx, vocab.m)
         for slot, item in enumerate(inst.candidates):
-            rng = substream(seed, "teacher", inst.instance_id, item.item_id)
-            ex = oracle_teacher(inst.ctx, item, inst.relevance[slot], noise_rate, rng, vocab, selfcheck_k)
-            if ex.teacher_decision != ex.ground_truth:
+            truth = inst.relevance[slot]
+            draw = substream(seed, "teacher", inst.instance_id, item.item_id).random()
+            decision = 1 - truth if noise_rate > 0.0 and draw < noise_rate else truth
+            if decision != truth:
                 stats["rejected"] += 1
                 continue
+            (target,) = teacher_targets(
+                hist, np.array([item.tokens]), np.array([decision]), vocab, selfcheck_k
+            )
             stats["kept"] += 1
-            stats["kept_positive"] += ex.ground_truth
+            stats["kept_positive"] += truth
             kept.append(
-                dataclasses.replace(
-                    ex,
+                SftExample(
                     instance_id=inst.instance_id,
+                    item_id=item.item_id,
                     prefix=np.asarray(serialize_context(inst.ctx, item, vocab), dtype=np.int32),
+                    target=target,
+                    ground_truth=truth,
+                    teacher_decision=decision,
                 )
             )
     return kept, stats
@@ -463,6 +443,14 @@ def test_instances_jsonl_validation_errors(tmp_path):
     lettered["candidates"][0]["tokens"] = [0, "a"]
     with pytest.raises(DataFormatError, match="bad.jsonl: line 2: invalid literal"):
         load_instances_jsonl(write([header, json.dumps(lettered)]))
+
+    numbered = json.loads(json.dumps(record))
+    numbered["candidates"][1]["item_id"] = 7
+    with pytest.raises(DataFormatError, match="bad.jsonl: line 2: candidate item_id 7 is not a string"):
+        load_instances_jsonl(write([header, json.dumps(numbered)]))
+    for grades, bad in (([-1, 1], -1), ([1, 2], 2)):
+        with pytest.raises(DataFormatError, match=f"bad.jsonl: line 2: relevance grade {bad} is not 0 or 1"):
+            load_instances_jsonl(write([header, json.dumps(dict(record, relevance=grades))]))
     check_common_faults(load_instances_jsonl, write, header, record, other_kind="sft")
 
 
@@ -503,6 +491,11 @@ def test_sft_jsonl_validation_errors(tmp_path):
         load_sft_jsonl(write([header, json.dumps({k: v for k, v in record.items() if k != "target"})]))
     with pytest.raises(DataFormatError, match="line 2: prefix and target must be lists"):
         load_sft_jsonl(write([header, json.dumps(dict(record, target=7))]))
+    for key in ("prefix", "target"):
+        with pytest.raises(DataFormatError, match="bad.jsonl: line 2: prefix and target must not be empty"):
+            load_sft_jsonl(write([header, json.dumps(dict(record, **{key: []}))]))
+    with pytest.raises(DataFormatError, match="line 2: ground_truth 2 and teacher_decision 1 must be 0 or 1"):
+        load_sft_jsonl(write([header, json.dumps(dict(record, ground_truth=2))]))
     check_common_faults(load_sft_jsonl, write, header, record, other_kind="instances")
 
 

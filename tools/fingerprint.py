@@ -1,9 +1,9 @@
 """Bit-identity fingerprint of the desk pipeline.
 
-Runs `plrank gen-data`, `build-sft`, `train --stage sft` and `train --stage rl`
-into a temporary directory, with the default config but SFT_STEPS and RL_STEPS
-training steps, and prints one SHA-256 per part, so two checkouts can be
-compared line by line:
+Runs `plrank gen-data`, `build-sft`, `train --stage sft`, `train --stage rl`,
+`eval`, `probe` and `report` into a temporary directory, with the default
+config but SFT_STEPS and RL_STEPS training steps, and prints one SHA-256 per
+part, so two checkouts can be compared line by line:
 
   instances    the three instance files `gen-data` writes
   sft_corpus   the teacher corpus `build-sft` writes
@@ -12,6 +12,9 @@ compared line by line:
                weights, greedy and sampled, with and without cot: tokens,
                token log-probs, final hidden states, truncation and scores
   rl           the RL checkpoint and metrics file
+  reports      what `eval`, `probe` and `report` write from the RL checkpoint:
+               eval.csv, strata.csv, summary.json, the probe tables, summary
+               and chart, and the two training curves
 
 The metrics files are hashed without their last column, the wall clock. Every
 file embeds the config hash, so two checkouts compare only if their configs
@@ -68,6 +71,11 @@ from plrank.world import (  # noqa: E402
 SFT_STEPS = 40
 RL_STEPS = 30
 SLATES = 60
+REPORTS = (
+    "eval.csv", "strata.csv", "summary.json",
+    "probe_position.csv", "probe_position.svg", "probe_history.csv", "probe_summary.json",
+    "curve_sft.svg", "curve_rl.svg",
+)
 
 
 def run(*argv: str) -> None:
@@ -168,6 +176,9 @@ def main() -> int:
         run("train", "--stage", "rl", *common)
         parts["rl"] = hash_files(out / "rl_model.bin")
         hash_metrics(parts["rl"], out / "metrics_rl.csv")
+        for stage in ("eval", "probe", "report"):
+            run(stage, *common)
+        parts["reports"] = hash_files(*(out / name for name in REPORTS))
         run("verify", *common)
     for name, h in parts.items():
         print(f"{name:12s} {h.hexdigest()}")
