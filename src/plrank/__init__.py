@@ -17,7 +17,6 @@ from .rank import (
     ndcg,
     pl_grad_scores,
     pl_log_prob,
-    pl_sample,
     pl_sample_many,
 )
 from .training import SftConfig, TrainConfig, rl_train, rollout, sft_train
@@ -53,7 +52,6 @@ __all__ = [
     "ndcg",
     "pl_grad_scores",
     "pl_log_prob",
-    "pl_sample",
     "pl_sample_many",
     "policy_config",
     "probe_history_shuffle",

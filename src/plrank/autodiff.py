@@ -403,29 +403,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x.tape._record(y, (x.node_id,), backward_fn, x.requires)
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.sum(np.exp(x.data - m), axis=axis, keepdims=True)) + m
-    soft = np.exp(x.data - lse)
-    out = lse if keepdims else np.squeeze(lse, axis=axis)
-
-    def backward_fn(g: Array):
-        gg = g if keepdims else np.expand_dims(g, axis=axis)
-        return (gg * soft,)
-
-    return x.tape._record(out, (x.node_id,), backward_fn, x.requires)
-
-
-def log(x: Tensor) -> Tensor:
-    x_data = x.data
-    out = np.log(x_data)
-
-    def backward_fn(g: Array):
-        return (g / x_data,)
-
-    return x.tape._record(out, (x.node_id,), backward_fn, x.requires)
-
-
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
 
@@ -465,10 +442,6 @@ def asum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, shape).copy() if np.ndim(gg) else np.full(shape, gg, dtype=np.float64),)
 
     return x.tape._record(np.asarray(out), (x.node_id,), backward_fn, x.requires)
-
-
-# Contract-facing alias for the reduction op.
-sum = asum  # noqa: A001
 
 
 def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:

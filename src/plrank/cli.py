@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -55,18 +53,6 @@ from .world import (
     train_positive_counts,
 )
 
-log = logging.getLogger("plrank.cli")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("PLRANK_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        raise ConfigError(f"PLRANK_LOG must be one of {sorted(levels)}, got {level!r}")
-    logging.basicConfig(
-        level=levels[level], format="%(asctime)s %(name)s %(levelname)s %(message)s"
-    )
-
 
 def _load_config(args) -> RunConfig:
     if args.config is not None:
@@ -90,11 +76,11 @@ def _instances_path(out: Path, split: str) -> Path:
     return out / f"instances_{split}.jsonl"
 
 
-def _load_instances(out: Path, split: str, vocab):
+def _load_instances(out: Path, split: str, cfg: RunConfig):
     path = _instances_path(out, split)
     if not path.exists():
         raise DataFormatError(f"missing {path}; run gen-data first")
-    return load_instances_jsonl(path, vocab)
+    return load_instances_jsonl(path, policy_config(cfg).vocab(), max_history=cfg.data.L)
 
 
 def _serialize_fn(vocab):
@@ -123,17 +109,15 @@ def cmd_gen_data(args) -> int:
                 "skipped_few_negatives": stats.skipped_few_negatives,
             },
         )
-        log.info("split %s: %d instances", split, stats.built)
-        print(f"gen-data {split}: {stats.built} instances")
+        print(f"gen-data {split}: {len(instances)} instances")
     return 0
 
 
 def cmd_build_sft(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    pcfg = policy_config(cfg)
-    vocab = pcfg.vocab()
-    instances, _ = _load_instances(out, "train", vocab)
+    vocab = policy_config(cfg).vocab()
+    instances, _ = _load_instances(out, "train", cfg)
     examples, stats = build_sft_corpus(
         instances,
         cfg.data.noise_rate,
@@ -149,12 +133,12 @@ def cmd_build_sft(args) -> int:
             "seed": cfg.seed,
             "config_hash": config_hash(cfg),
             "noise_rate": cfg.data.noise_rate,
-            "kept": stats.kept,
+            "kept": len(examples),
             "rejected": stats.rejected,
             "kept_positive": stats.kept_positive,
         },
     )
-    print(f"build-sft: kept {stats.kept} rejected {stats.rejected}")
+    print(f"build-sft: kept {len(examples)} rejected {stats.rejected}")
     return 0
 
 
@@ -168,7 +152,7 @@ def cmd_train(args) -> int:
         sft_path = out / "sft.jsonl"
         if not sft_path.exists():
             raise DataFormatError(f"missing {sft_path}; run build-sft first")
-        examples, _ = load_sft_jsonl(sft_path, pcfg.vocab())
+        examples, _ = load_sft_jsonl(sft_path, pcfg.vocab(), max_len=pcfg.max_len)
         if args.init is not None:
             params, _, _ = load_checkpoint(args.init)
         else:
@@ -181,7 +165,7 @@ def cmd_train(args) -> int:
         final = -rows[-1]["ppo_obj"] if rows else float("nan")
         print(f"train sft: {len(rows)} steps, final nll {final:.4f}")
         return 0
-    instances, _ = _load_instances(out, "train", pcfg.vocab())
+    instances, _ = _load_instances(out, "train", cfg)
     # the reward, NDCG, is undefined for a slate with no relevant candidate
     unjudged = [inst.instance_id for inst in instances if not any(inst.relevance)]
     if unjudged:
@@ -221,7 +205,7 @@ def _load_model(args, out: Path, cfg: RunConfig):
 
 
 def _eval_instances(cfg: RunConfig, out: Path):
-    instances, _ = _load_instances(out, cfg.eval.split, policy_config(cfg).vocab())
+    instances, _ = _load_instances(out, cfg.eval.split, cfg)
     if cfg.eval.max_instances:
         instances = instances[: cfg.eval.max_instances]
     return instances
@@ -471,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _setup_logging()
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, DataFormatError, OSError) as exc:

@@ -3,7 +3,7 @@
 Everything here is exact math over small candidate slates: truncated DCG/NDCG
 with base-2 gains, the Plackett-Luce distribution parameterized by a raw score
 vector, its log-density gradient, and a brute-force enumeration oracle used to
-cross-check every sampled estimator in the training stack. NDCG and the
+cross-check the head's sampled gradient in training. DCG and the
 Plackett-Luce log-density with its gradient are each written once, batched
 over rankings; the one-ranking functions are validated views of them.
 """
@@ -66,13 +66,18 @@ def ideal_permutation(rel) -> np.ndarray:
     return np.lexsort((np.arange(r.size), -r)).astype(np.int64)
 
 
+def _dcg(ranked_gains: np.ndarray, cutoff: int) -> np.ndarray:
+    """Truncated DCG of each row of gains in rank order (..., K): sum over
+    ranks k <= cutoff of gain_k / log2(k + 1)."""
+    c = min(cutoff, ranked_gains.shape[-1])
+    return ranked_gains[..., :c] @ discounts(c)
+
+
 def dcg(perm, rel, cutoff: int) -> float:
-    """Truncated DCG: sum over ranks k<=cutoff of (2^grade - 1)/log2(k+1)."""
+    """Truncated DCG of one ranking, with gains 2^grade - 1."""
     p = _as_permutation(perm)
     r = _as_grades(rel, p.size)
-    c = min(_check_cutoff(cutoff), p.size)
-    gains = np.exp2(r[p[:c]]) - 1.0
-    return float(np.dot(gains, discounts(c)))
+    return float(_dcg((np.exp2(r) - 1.0)[p], _check_cutoff(cutoff)))
 
 
 def batched_ndcg(perms, rel, cutoff: int) -> np.ndarray:
@@ -83,11 +88,9 @@ def batched_ndcg(perms, rel, cutoff: int) -> np.ndarray:
         raise ContractViolation(f"rankings must be (N, {r.size}), got shape {p.shape}")
     if not np.any(r > 0):
         raise AllZeroRelevance("NDCG undefined: all relevance grades are zero")
-    c = min(_check_cutoff(cutoff), r.size)
+    c = _check_cutoff(cutoff)
     gains = np.exp2(r) - 1.0
-    disc = discounts(c)
-    ideal = float(np.dot(np.sort(gains)[::-1][:c], disc))
-    return (gains[p[:, :c]] @ disc) / ideal
+    return _dcg(gains[p], c) / float(_dcg(np.sort(gains)[::-1], c))
 
 
 def ndcg(perm, rel, cutoff: int) -> float:
@@ -171,11 +174,6 @@ def pl_sample_many(scores, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def pl_sample(scores, rng: np.random.Generator) -> np.ndarray:
-    """Single Plackett-Luce draw."""
-    return pl_sample_many(scores, 1, rng)[0]
-
-
 def enumerate_expected_reward(scores, rel, cutoff: int) -> tuple[float, np.ndarray]:
     """Exact E[ndcg(tau)] and its score gradient by summing over all K! permutations.
 
@@ -192,24 +190,3 @@ def enumerate_expected_reward(scores, rel, cutoff: int) -> tuple[float, np.ndarr
     log_probs, grads = pl_log_probs_and_grads(perms, s)
     weighted = np.exp(log_probs) * batched_ndcg(perms, rel, cutoff)
     return float(weighted.sum()), weighted @ grads
-
-
-def mc_reward_gradient(
-    scores,
-    rel,
-    cutoff: int,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Monte Carlo REINFORCE estimate of d E[ndcg]/d s with per-component SEs.
-
-    Returns (mean reward, gradient estimate, gradient standard errors).
-    Vectorized so 1e5 draws on K<=5 stay in the acceptance-time budget.
-    """
-    s = _as_scores(scores)
-    perms = pl_sample_many(s, n_draws, rng)
-    rewards = batched_ndcg(perms, rel, cutoff)
-    per_draw = rewards[:, None] * pl_log_probs_and_grads(perms, s)[1]
-    grad = per_draw.mean(axis=0)
-    se = per_draw.std(axis=0, ddof=1) / np.sqrt(n_draws)
-    return float(rewards.mean()), grad, se

@@ -15,7 +15,6 @@ last layer, like SFT's, runs only at the columns the objectives read.
 """
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -42,8 +41,6 @@ from .rank import batched_ndcg, pl_log_probs_and_grads, pl_sample_many
 from .report import TableWriter
 from .rng import KeyedStreams
 from .world import RankingInstance, SftExample
-
-log = logging.getLogger("plrank.training")
 
 
 @dataclass(frozen=True)
@@ -267,8 +264,6 @@ def sft_train(
         rows.append(row)
         if metrics is not None:
             metrics.write_row(**row)
-        if step % 200 == 0:
-            log.info("sft step %d nll %.4f", step, loss)
     return rows
 
 
@@ -361,6 +356,17 @@ def ranking_weights(rewards: np.ndarray, baseline: str) -> np.ndarray:
     return (rewards - b) / r
 
 
+def ranking_objective(scores: Tensor, rankings: np.ndarray, rewards: np.ndarray, baseline: str) -> Tensor:
+    """The head's REINFORCE objective over R sampled rankings (R, K) of a score Tensor (K,).
+
+    It is sum_r w_r log P(ranking r | scores) with w = ranking_weights(rewards,
+    baseline), so its gradient with respect to the scores is w @ the rankings'
+    log-prob gradients, the estimate of d E[reward] / d scores.
+    """
+    log_probs = pl_log_prob_tape(scores, rankings)
+    return ad.asum(ad.mul(log_probs, scores.tape.constant(ranking_weights(rewards, baseline))))
+
+
 def clipped_token_objective(ratio, advantage: float, epsilon: float) -> np.ndarray:
     """Pessimistic clipped surrogate min(r*A, clip(r, 1-eps, 1+eps)*A).
 
@@ -408,9 +414,7 @@ def instance_objectives(
         finals = tape.constant(np.stack([r.final_hidden for r in record.rationales]))
     scores_rows = head_score_tape(pt, finals)
     scores_pres = ad.index_select(scores_rows, record.row_of_slot)
-    log_probs = pl_log_prob_tape(scores_pres, record.rankings)
-    weights = ranking_weights(record.rewards, tcfg.baseline)
-    head_obj = ad.asum(ad.mul(log_probs, tape.constant(weights)))
+    head_obj = ranking_objective(scores_pres, record.rankings, record.rewards, tcfg.baseline)
     return ppo_obj, head_obj, None if ratio is None else ratio.data
 
 
@@ -531,6 +535,4 @@ def rl_train(
         rows.append(stats)
         if metrics is not None:
             metrics.write_row(stage="rl", **asdict(stats))
-        if step % 100 == 0:
-            log.info("rl step %d mean reward %.4f", step, stats.mean_reward)
     return rows

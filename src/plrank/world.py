@@ -92,14 +92,12 @@ class SftExample:
 
 @dataclass
 class BuildStats:
-    built: int = 0
     skipped_no_positive: int = 0
     skipped_few_negatives: int = 0
 
 
 @dataclass
 class CorpusStats:
-    kept: int = 0
     rejected: int = 0
     kept_positive: int = 0
 
@@ -319,7 +317,6 @@ def build_instances(
                 relevance=tuple(grades.tolist()),
             )
         )
-        stats.built += 1
     return instances, stats
 
 
@@ -425,7 +422,6 @@ def build_sft_corpus(
                     teacher_decision=decision,
                 )
             )
-            stats.kept += 1
             stats.kept_positive += decision
     return kept, stats
 
@@ -492,12 +488,15 @@ def save_instances_jsonl(path, instances, meta: dict | None = None) -> None:
     _write_jsonl(path, "instances", records, meta)
 
 
-def load_instances_jsonl(path, vocab=None) -> tuple[list[RankingInstance], dict]:
+def load_instances_jsonl(
+    path, vocab=None, max_history: int | None = None
+) -> tuple[list[RankingInstance], dict]:
     """Parse and validate an instance file; errors name the file and line.
 
     Every id must be a string and every grade 0 or 1. Every token run must
     have as many tokens as the profile, or with a `vocab` its m tokens, each a
-    bucket below its `buckets`.
+    bucket below its `buckets`. With a `max_history`, no user may have more
+    history events.
     """
     seen: set[str] = set()
 
@@ -532,6 +531,8 @@ def load_instances_jsonl(path, vocab=None) -> tuple[list[RankingInstance], dict]
             return values
 
         profile = tokens(user["profile_tokens"], "profile")
+        if max_history is not None and len(user["history"]) > max_history:
+            raise DataFormatError(f"history length {len(user['history'])} exceeds L={max_history}")
         history = tuple(
             HistoryEvent(
                 item_id=ident(ev["item_id"], "history item_id"),
@@ -573,12 +574,14 @@ def save_sft_jsonl(path, examples: list[SftExample], meta: dict | None = None) -
     _write_jsonl(path, "sft", records, meta)
 
 
-def _parse_sft(rec, vocab) -> SftExample:
+def _parse_sft(rec, vocab, max_len) -> SftExample:
     prefix, target = (np.asarray(rec[key], dtype=np.int32) for key in ("prefix", "target"))
     if prefix.ndim != 1 or target.ndim != 1:
         raise DataFormatError("prefix and target must be lists of token ids")
     if not prefix.size or not target.size:
         raise DataFormatError("prefix and target must not be empty")
+    if max_len is not None and prefix.size + target.size > max_len:
+        raise DataFormatError(f"row length {prefix.size} + {target.size} exceeds max_len {max_len}")
     if vocab is not None:
         for what, ids in (("prefix", prefix), ("target", target)):
             bad = ids[(ids < 0) | (ids >= vocab.size)]
@@ -597,6 +600,8 @@ def _parse_sft(rec, vocab) -> SftExample:
     )
 
 
-def load_sft_jsonl(path, vocab=None) -> tuple[list[SftExample], dict]:
-    """Parse and validate a teacher corpus; with a `vocab`, every token must be one of its ids."""
-    return _read_jsonl(path, "sft", lambda rec: _parse_sft(rec, vocab))
+def load_sft_jsonl(path, vocab=None, max_len: int | None = None) -> tuple[list[SftExample], dict]:
+    """Parse and validate a teacher corpus; with a `vocab`, every token must be
+    one of its ids, and with a `max_len`, no row's prefix and target together
+    may be longer."""
+    return _read_jsonl(path, "sft", lambda rec: _parse_sft(rec, vocab, max_len))

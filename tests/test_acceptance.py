@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import plrank.autodiff as ad
-from plrank.autodiff import NEG_MASK, Tape, fd_check
+from plrank.autodiff import Tape, fd_check
 from plrank.cli import main as cli_main
 from plrank.config import RunConfig, policy_config, stage_config
 from plrank.evaluation import (
@@ -39,12 +39,13 @@ from plrank.policy import (
     token_log_probs,
 )
 from plrank.rank import (
+    batched_ndcg,
     discounts,
     enumerate_expected_reward,
-    mc_reward_gradient,
     ndcg,
     pl_grad_scores,
     pl_log_prob,
+    pl_log_probs_and_grads,
     pl_sample_many,
 )
 from plrank.rng import KeyedStreams, substream
@@ -54,7 +55,8 @@ from plrank.training import (
     TrainConfig,
     clipped_token_objective,
     instance_objectives,
-    pl_log_prob_tape,
+    ranking_objective,
+    ranking_weights,
     rl_train,
     rollout,
     sft_train,
@@ -68,6 +70,7 @@ from plrank.world import (
     train_positive_counts,
     user_events,
 )
+from test_autodiff import fd_battery
 
 
 def _serialize_fn(vocab):
@@ -126,111 +129,10 @@ def test_a01_pl_exactness():
 # ---------------------------------------------------------------------------
 
 
-def _fd_battery_cases():
-    rng = np.random.default_rng(7)
-    n = lambda *s: rng.normal(size=s)
-    cases = []
-
-    # dense chain with every activation
-    a, b = n(3, 4), n(4, 5)
-    shift = n(3, 5) * 0.1
-
-    def f1(al, bl):
-        h = ad.tanh(ad.matmul(al, bl))
-        h = ad.relu(ad.add(h, h.tape.constant(shift)))
-        return ad.asum(ad.mul(h, h))
-
-    cases.append((f1, [a, b]))
-
-    # softmax / log_softmax / logsumexp agreement under reductions
-    c = n(4, 6)
-
-    def f2(cl):
-        sm = ad.softmax(cl, axis=-1)
-        lsm = ad.log_softmax(cl, axis=-1)
-        lse = ad.logsumexp(cl, axis=-1)
-        return ad.add(ad.asum(ad.mul(sm, lsm)), ad.mean(lse))
-
-    cases.append((f2, [c]))
-
-    # exp/log/scale/minimum/clip, the clipped-update shape
-    d = n(6) * 0.3
-
-    def f3(dl):
-        ratio = ad.exp(dl)
-        lo = ad.scale(ratio, 0.8)
-        hi = ad.scale(ad.clip(ratio, 0.8, 1.2), 0.8)
-        return ad.add(ad.asum(ad.minimum(lo, hi)), ad.asum(ad.log(ad.add(ratio, ratio.tape.constant(1.5)))))
-
-    cases.append((f3, [d]))
-
-    # embedding lookups, broadcasting, reshape/swapaxes/concat
-    table, pos = n(9, 4), n(5, 4)
-    ids = rng.integers(0, 9, size=(2, 5))
-
-    def f4(tl, pl):
-        emb = ad.index_select(tl, ids)
-        both = ad.add(emb, ad.broadcast_to(ad.reshape(pl, (1, 5, 4)), (2, 5, 4)))
-        flipped = ad.swapaxes(ad.concat([both, both], axis=0), 0, 2)
-        return ad.asum(ad.mul(flipped, flipped))
-
-    cases.append((f4, [table, pos]))
-
-    # scores into a sequential-choice log-likelihood, REINFORCE-shaped
-    hidden = n(4, 5)
-    h1, h2 = n(5, 3), n(3, 1)
-    perm = np.array([2, 0, 3, 1])
-    stage_mask = np.where(np.arange(4)[:, None] >= np.arange(4)[None, :], 0.0, NEG_MASK)
-
-    def f5(al, bl):
-        tape = al.tape
-        s = ad.reshape(ad.matmul(ad.tanh(ad.matmul(tape.constant(hidden), al)), bl), (4,))
-        s_perm = ad.index_select(s, perm)
-        stages = ad.add(
-            ad.broadcast_to(ad.reshape(s_perm, (1, 4)), (4, 4)), tape.constant(stage_mask)
-        )
-        logp = ad.add(ad.asum(s_perm), ad.scale(ad.asum(ad.logsumexp(stages, axis=-1)), -1.0))
-        return ad.scale(logp, 0.73)
-
-    cases.append((f5, [h1, h2]))
-
-    # fused linear on a 3-d input with a bias
-    x6, w6, b6 = n(2, 3, 5), n(5, 4), n(4)
-
-    def f6(xl, wl, bl):
-        return ad.asum(ad.tanh(ad.linear(xl, wl, bl)))
-
-    cases.append((f6, [x6, w6, b6]))
-
-    # fused two-head causal attention, B=2, T=5
-    q7, k7, v7 = n(2, 5, 4), n(2, 5, 4), n(2, 5, 4)
-    read7 = n(2, 5, 4)
-
-    def f7(ql, kl, vl):
-        out = ad.causal_attention(ql, kl, vl, 2)
-        return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read7)))
-
-    cases.append((f7, [q7, k7, v7]))
-
-    # fused Plackett-Luce log-probs of R=3 rankings over head scores, K=5
-    hidden8 = n(5, 4)
-    w8a, w8b = n(4, 3), n(3, 1)
-    perms8 = np.stack([rng.permutation(5) for _ in range(3)])
-    weights8 = n(3)
-
-    def f8(al, bl):
-        tape = al.tape
-        s = ad.reshape(ad.matmul(ad.tanh(ad.matmul(tape.constant(hidden8), al)), bl), (5,))
-        return ad.asum(ad.mul(pl_log_prob_tape(s, perms8), tape.constant(weights8)))
-
-    cases.append((f8, [w8a, w8b]))
-    return cases
-
-
 def test_a02_gradient_fidelity():
     t0 = time.perf_counter()
     worst = 0.0
-    for f, leaves in _fd_battery_cases():
+    for f, leaves in fd_battery():
         worst = max(worst, fd_check(f, leaves))
 
     # the full twin-forward model, end to end
@@ -293,11 +195,35 @@ def test_a02_gradient_fidelity():
 # ---------------------------------------------------------------------------
 
 
+def _grouped_gradient(scores, rel, cutoff, perms, group, baseline):
+    """The head's gradient estimate from sampled rankings (N, K) split into
+    groups of `group`, as training weighs one instance's rankings: each
+    group's estimate is ranking_weights(group rewards, baseline) @ the group's
+    log-prob gradients. Returns the mean of the group estimates and its
+    standard errors.
+
+    On the first group, the backward pass of `ranking_objective`, the tape
+    that training builds, must give that product bit for bit.
+    """
+    rewards = batched_ndcg(perms, rel, cutoff).reshape(-1, group)
+    grads = pl_log_probs_and_grads(perms, scores)[1].reshape(-1, group, len(scores))
+    per_group = np.array([ranking_weights(r, baseline) @ g for r, g in zip(rewards, grads)])
+    tape = Tape()
+    s = tape.leaf(scores, requires_grad=True)
+    first = perms[:group]
+    tape_grad = tape.backward(ranking_objective(s, first, rewards[0], baseline))[s.node_id]
+    weights = ranking_weights(rewards[0], baseline)
+    assert np.array_equal(tape_grad, weights @ pl_log_probs_and_grads(first, scores)[1])
+    return per_group.mean(axis=0), per_group.std(axis=0, ddof=1) / math.sqrt(len(per_group))
+
+
 def test_a03_estimator_consistency():
     t0 = time.perf_counter()
     streams = KeyedStreams(314)
     n_draws = 100_000
-    worst_z = 0.0
+    group = RunConfig().rl.rankings_per_instance  # the desk trains on R = 8 rankings per instance
+    baselines = ("loo", "none")  # the desk's leave-one-out baseline, and none
+    worst_z = dict.fromkeys(baselines, 0.0)
     for i in range(20):
         rng = streams.stream("inst", i)
         scores = rng.normal(0.0, 1.0, 4)
@@ -307,23 +233,28 @@ def test_a03_estimator_consistency():
             rel[rng.integers(0, 4)] = 1  # occasionally a second positive
         cutoff = int(rng.integers(2, 5))
         _, exact_grad = enumerate_expected_reward(scores, rel, cutoff)
-        _, mc_grad, se = mc_reward_gradient(scores, rel, cutoff, n_draws, streams.stream("mc", i))
-        z = np.abs(mc_grad - exact_grad) / np.maximum(se, 1e-12)
-        assert np.all(z <= 3.0), (i, z)
-        worst_z = max(worst_z, float(z.max()))
+        perms = pl_sample_many(scores, n_draws, streams.stream("mc", i))
+        for baseline in baselines:
+            grad, se = _grouped_gradient(scores, rel, cutoff, perms, group, baseline)
+            z = np.abs(grad - exact_grad) / np.maximum(se, 1e-12)
+            assert np.all(z <= 3.0), (baseline, i, z)
+            worst_z[baseline] = max(worst_z[baseline], float(z.max()))
 
     # worked two-item case: equal scores, one positive, full cutoff
     value, exact = enumerate_expected_reward([0.0, 0.0], [1, 0], 2)
     assert exact == pytest.approx([0.0922675616, -0.0922675616], abs=1e-9)
     assert np.round(exact, 5) == pytest.approx([0.09227, -0.09227], abs=0)
-    _, mc, se = mc_reward_gradient([0.0, 0.0], [1, 0], 2, n_draws, streams.stream("worked"))
-    assert np.all(np.abs(mc - np.array([0.09227, -0.09227])) <= 3.0 * np.maximum(se, 1e-12))
+    perms = pl_sample_many([0.0, 0.0], n_draws, streams.stream("worked"))
+    for baseline in baselines:
+        grad, se = _grouped_gradient(np.zeros(2), [1, 0], 2, perms, group, baseline)
+        assert np.all(np.abs(grad - np.array([0.09227, -0.09227])) <= 3.0 * np.maximum(se, 1e-12))
 
     dt = time.perf_counter() - t0
     assert dt < 300.0, dt
     print(
-        f"PASS estimator consistency: 20 instances within 3 SEs (worst {worst_z:.2f}), "
-        f"worked case grad ({exact[0]:+.5f}, {exact[1]:+.5f}), {dt:.1f}s"
+        f"PASS estimator consistency: the head's gradient over groups of {group} rankings, "
+        f"20 instances within 3 SEs (worst {worst_z['loo']:.2f} with the leave-one-out baseline, "
+        f"{worst_z['none']:.2f} with none), worked case grad ({exact[0]:+.5f}, {exact[1]:+.5f}), {dt:.1f}s"
     )
 
 

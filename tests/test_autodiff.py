@@ -8,7 +8,7 @@ import pytest
 import plrank.autodiff as ad
 from plrank.autodiff import NEG_MASK, Tape, fd_check
 from plrank.errors import ContractViolation
-from plrank.training import pl_log_prob_tape
+from plrank.training import ranking_objective
 
 
 def test_matmul_forward_example():
@@ -24,17 +24,6 @@ def test_softmax_rows_sum_to_one():
     x = tape.leaf(np.random.default_rng(0).normal(size=(4, 7)) * 3)
     y = ad.softmax(x, axis=-1)
     assert np.allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_logsumexp_gradient_is_softmax():
-    tape = Tape()
-    x = tape.leaf(np.array([1.0, 0.0, -1.0]), requires_grad=True)
-    out = ad.logsumexp(x, axis=0)
-    grads = tape.backward(out)
-    expected = np.exp([1.0, 0.0, -1.0])
-    expected /= expected.sum()
-    assert grads[x.node_id] == pytest.approx(expected, abs=1e-12)
-    assert grads[x.node_id] == pytest.approx([0.66524096, 0.24472847, 0.09003057], abs=1e-8)
 
 
 def test_index_select_backward_accumulates_duplicates():
@@ -139,8 +128,9 @@ def test_quadratic_fd_error_tiny():
     assert fd_check(f, [w]) < 1e-7
 
 
-def _battery():
-    """Ten computation shapes covering every op the training stack uses."""
+def fd_battery():
+    """Computation shapes covering every op the training stack records, for
+    central-difference checks; A02 runs the same list."""
     rng = np.random.default_rng(7)
     n = lambda *s: rng.normal(size=s) * 0.1  # noqa: E731
     cases = []
@@ -155,26 +145,54 @@ def _battery():
 
     cases.append((f1, [w, b, v]))
 
-    # 2. log-softmax pick via one-hot (classification shape)
-    w2 = n(6, 5)
-    x2 = rng.normal(size=(4, 6))
+    # 2. dense chain through tanh and a shifted relu, squared
+    a2, b2 = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+    shift2 = n(3, 5)
+
+    def f2(al, bl):
+        h = ad.tanh(ad.matmul(al, bl))
+        h = ad.relu(ad.add(h, h.tape.constant(shift2)))
+        return ad.asum(ad.mul(h, h))
+
+    cases.append((f2, [a2, b2]))
+
+    # 3. log-softmax pick via one-hot (classification shape)
+    w3 = n(6, 5)
+    x3 = rng.normal(size=(4, 6))
     onehot = np.eye(5)[rng.integers(0, 5, size=4)]
 
-    def f2(wl):
-        lp = ad.log_softmax(ad.matmul(wl.tape.constant(x2), wl), axis=-1)
+    def f3(wl):
+        lp = ad.log_softmax(ad.matmul(wl.tape.constant(x3), wl), axis=-1)
         return ad.scale(ad.asum(ad.mul(lp, wl.tape.constant(onehot))), -1.0)
 
-    cases.append((f2, [w2]))
+    cases.append((f3, [w3]))
 
-    # 3. single-head causal attention block
+    # 4. softmax against log-softmax: mean negative entropy of the rows
+    c4 = rng.normal(size=(4, 6))
+
+    def f4(cl):
+        return ad.mean(ad.mul(ad.softmax(cl, axis=-1), ad.log_softmax(cl, axis=-1)))
+
+    cases.append((f4, [c4]))
+
+    # 5. the clipped-update shape: ratios on both sides of the clip range
+    d5 = rng.normal(size=6) * 0.3
+
+    def f5(dl):
+        ratio = ad.exp(dl)
+        return ad.asum(ad.minimum(ad.scale(ratio, 0.8), ad.scale(ad.clip(ratio, 0.8, 1.2), 0.8)))
+
+    cases.append((f5, [d5]))
+
+    # 6. single-head causal attention block
     t_len, dm = 4, 6
     wq, wk, wv = n(dm, dm), n(dm, dm), n(dm, dm)
-    x3 = rng.normal(size=(t_len, dm))
+    x6 = rng.normal(size=(t_len, dm))
     mask = np.triu(np.full((t_len, t_len), NEG_MASK), k=1)
 
-    def f3(ql, kl, vl):
+    def f6(ql, kl, vl):
         tape = ql.tape
-        xc = tape.constant(x3)
+        xc = tape.constant(x6)
         q, k, v = ad.matmul(xc, ql), ad.matmul(xc, kl), ad.matmul(xc, vl)
         scores = ad.add(
             ad.scale(ad.matmul(q, ad.swapaxes(k, 0, 1)), dm ** -0.5),
@@ -183,69 +201,29 @@ def _battery():
         ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
         return ad.asum(ad.mul(ctx, ctx))
 
-    cases.append((f3, [wq, wk, wv]))
+    cases.append((f6, [wq, wk, wv]))
 
-    # 4. two-layer relu MLP with mean reduction
-    w4a, w4b = n(5, 8), n(8, 2)
-    x4 = rng.normal(size=(6, 5))
-
-    def f4(al, bl):
-        h = ad.relu(ad.matmul(al.tape.constant(x4), al))
-        return ad.mean(ad.matmul(h, bl))
-
-    cases.append((f4, [w4a, w4b]))
-
-    # 5. logsumexp composition
-    w5 = n(4, 7)
-    x5 = rng.normal(size=(3, 4))
-
-    def f5(wl):
-        return ad.asum(ad.logsumexp(ad.matmul(wl.tape.constant(x5), wl), axis=-1))
-
-    cases.append((f5, [w5]))
-
-    # 6. embedding gather + positional add (index_select path)
-    table, pos = n(9, 4), n(5, 4)
-    ids = rng.integers(0, 9, size=(2, 5))
-
-    def f6(tl, pl):
-        emb = ad.index_select(tl, ids)
-        both = ad.add(emb, ad.broadcast_to(ad.reshape(pl, (1, 5, 4)), (2, 5, 4)))
-        return ad.asum(ad.mul(both, both))
-
-    cases.append((f6, [table, pos]))
-
-    # 7. concat + swapaxes + exp/log mix
-    w7a, w7b = n(3, 4), n(3, 4)
+    # 7. two-layer relu MLP with mean reduction
+    w7a, w7b = n(5, 8), n(8, 2)
+    x7 = rng.normal(size=(6, 5))
 
     def f7(al, bl):
-        joined = ad.concat([al, bl], axis=0)
-        flipped = ad.swapaxes(joined, 0, 1)
-        return ad.asum(ad.log(ad.add(ad.exp(flipped), flipped.tape.constant(1.5))))
+        h = ad.relu(ad.matmul(al.tape.constant(x7), al))
+        return ad.mean(ad.matmul(h, bl))
 
     cases.append((f7, [w7a, w7b]))
 
-    # 8. scoring head into a Plackett-Luce log-prob, REINFORCE-shaped
-    k_items, dm8, dh = 4, 5, 3
-    hidden = rng.normal(size=(k_items, dm8))
-    h1, h2 = n(dm8, dh), n(dh, 1)
-    perm = np.array([2, 0, 3, 1])
-    stage_mask = np.where(
-        np.arange(k_items)[:, None] >= np.arange(k_items)[None, :], 0.0, NEG_MASK
-    )
+    # 8. embedding gather + positional add, then concat and swapaxes
+    table, pos = n(9, 4), n(5, 4)
+    ids = rng.integers(0, 9, size=(2, 5))
 
-    def f8(al, bl):
-        tape = al.tape
-        s = ad.reshape(ad.matmul(ad.tanh(ad.matmul(tape.constant(hidden), al)), bl), (k_items,))
-        s_perm = ad.index_select(s, perm)
-        stages = ad.add(
-            ad.broadcast_to(ad.reshape(s_perm, (1, k_items)), (k_items, k_items)),
-            tape.constant(stage_mask),
-        )
-        logp = ad.add(ad.asum(s_perm), ad.scale(ad.asum(ad.logsumexp(stages, axis=-1)), -1.0))
-        return ad.scale(logp, 0.73)  # fixed reward weight
+    def f8(tl, pl):
+        emb = ad.index_select(tl, ids)
+        both = ad.add(emb, ad.broadcast_to(ad.reshape(pl, (1, 5, 4)), (2, 5, 4)))
+        flipped = ad.swapaxes(ad.concat([both, both], axis=0), 0, 2)
+        return ad.asum(ad.mul(flipped, flipped))
 
-    cases.append((f8, [h1, h2]))
+    cases.append((f8, [table, pos]))
 
     # 9. fused linear on a 3-d input with a bias
     x9, w9, b9 = rng.normal(size=(2, 3, 5)), n(5, 4), n(4)
@@ -265,47 +243,47 @@ def _battery():
 
     cases.append((f10, [q10, k10, v10]))
 
-    # 11. fused Plackett-Luce log-probs of R=3 rankings over head scores, K=5
-    hidden11 = rng.normal(size=(5, 4))
-    h11a, h11b = n(4, 3), n(3, 1)
-    perms11 = np.stack([rng.permutation(5) for _ in range(3)])
-    weights11 = rng.normal(size=3)
+    # 11. fused causal attention of the last Tq = 3 of Tk = 7 positions, B=2
+    q11, (k11, v11) = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 2, 7, 4))
+    read11 = rng.normal(size=(2, 3, 4))
 
-    def f11(al, bl):
-        tape = al.tape
-        s = ad.reshape(ad.matmul(ad.tanh(ad.matmul(tape.constant(hidden11), al)), bl), (5,))
-        return ad.asum(ad.mul(pl_log_prob_tape(s, perms11), tape.constant(weights11)))
+    def f11(ql, kl, vl):
+        out = ad.causal_attention(ql, kl, vl, 2)
+        return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read11)))
 
-    cases.append((f11, [h11a, h11b]))
+    cases.append((f11, [q11, k11, v11]))
 
-    # 12. fused causal attention of the last Tq = 3 of Tk = 7 positions, B=2
-    q12, (k12, v12) = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 2, 7, 4))
+    # 12. per-row windows of 3 columns read from (2, 7, 4) queries, attending
+    # by each query's own position
+    q12, k12, v12 = rng.normal(size=(3, 2, 7, 4))
+    starts12 = np.array([1, 3])
+    positions12 = starts12[:, None] + np.arange(3)
     read12 = rng.normal(size=(2, 3, 4))
 
     def f12(ql, kl, vl):
-        out = ad.causal_attention(ql, kl, vl, 2)
+        out = ad.causal_attention(ad.column_window(ql, starts12, 3), kl, vl, 2, positions=positions12)
         return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read12)))
 
     cases.append((f12, [q12, k12, v12]))
 
-    # 13. per-row windows of 3 columns read from (2, 7, 4) queries, attending
-    # by each query's own position
-    q13, k13, v13 = rng.normal(size=(3, 2, 7, 4))
-    starts13 = np.array([1, 3])
-    positions13 = starts13[:, None] + np.arange(3)
-    read13 = rng.normal(size=(2, 3, 4))
+    # 13. the head's ranking objective: R=3 rankings over head scores, K=5
+    hidden13 = rng.normal(size=(5, 4))
+    h13a, h13b = n(4, 3), n(3, 1)
+    perms13 = np.stack([rng.permutation(5) for _ in range(3)])
+    rewards13 = rng.random(3)
 
-    def f13(ql, kl, vl):
-        out = ad.causal_attention(ad.column_window(ql, starts13, 3), kl, vl, 2, positions=positions13)
-        return ad.asum(ad.mul(ad.tanh(out), out.tape.constant(read13)))
+    def f13(al, bl):
+        tape = al.tape
+        s = ad.reshape(ad.matmul(ad.tanh(ad.matmul(tape.constant(hidden13), al)), bl), (5,))
+        return ranking_objective(s, perms13, rewards13, "loo")
 
-    cases.append((f13, [q13, k13, v13]))
+    cases.append((f13, [h13a, h13b]))
     return cases
 
 
 def test_fd_battery():
     worst = 0.0
-    for f, params in _battery():
+    for f, params in fd_battery():
         err = fd_check(f, params)
         worst = max(worst, err)
     assert worst < 1e-4, worst
@@ -339,7 +317,7 @@ def test_mean_and_sum_axis_variants():
     assert fd_check(f_mean, [x]) < 1e-6
     tape = Tape()
     xt = tape.leaf(x)
-    assert ad.sum(xt, axis=2).data == pytest.approx(x.sum(axis=2))
+    assert ad.asum(xt, axis=2).data == pytest.approx(x.sum(axis=2))
 
 
 def _reference_attention_block(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
@@ -456,7 +434,7 @@ def test_attention_of_the_last_queries_matches_the_full_rows():
 
 def test_finished_tape_is_freed_by_reference_counting():
     """No backward closure holds a Tensor, so no graph is a reference cycle."""
-    cases = _battery()
+    cases = fd_battery()
     ratio = np.array([0.7, 1.1, 1.4])
 
     def ppo_shaped(rl):

@@ -356,6 +356,14 @@ def test_bad_records_fail_with_one_line(workdir, capsys):
             record[key] = []
         return damage
 
+    def long_history(record):
+        record["user"]["history"] = [{"item_id": f"i{t}", "tokens": [0, 1, 2], "t": t} for t in range(30)]
+
+    def long_prefix(record):
+        record["prefix"] = record["prefix"] * 10
+
+    first_sft = json.loads((out / "sft.jsonl").read_text().split("\n")[1])
+    long_row = f"row length {10 * len(first_sft['prefix'])} + {len(first_sft['target'])} exceeds max_len 48"
     sft, rl = ["train", "--stage", "sft"], ["train", "--stage", "rl"]
     check_damaged_first_records(cfg_path, out, capsys, (
         ("instances_test.jsonl", integer_item_id, ["eval"], "line 2: candidate item_id 7 is not a string"),
@@ -364,6 +372,8 @@ def test_bad_records_fail_with_one_line(workdir, capsys):
         ("sft.jsonl", empty("target"), sft, "line 2: prefix and target must not be empty"),
         ("sft.jsonl", empty("prefix"), sft, "line 2: prefix and target must not be empty"),
         ("instances_train.jsonl", no_relevant, rl, f"instance {first_train_id!r} has no relevant candidate"),
+        ("instances_test.jsonl", long_history, ["eval"], "line 2: history length 30 exceeds L=3"),
+        ("sft.jsonl", long_prefix, sft, f"line 2: {long_row}"),
     ))
 
 

@@ -40,6 +40,7 @@ from plrank.training import (
     lift_params,
     named_grads,
     pl_log_prob_tape,
+    ranking_objective,
     ranking_weights,
     rl_step,
     rl_train,
@@ -431,8 +432,7 @@ def test_frozen_head_reads_the_rollout_finals():
             hidden = forward_hidden_tape(pt, rec.ids, PCFG)
             finals = gather_positions_tape(hidden, np.arange(len(rec.rationales)), rec.final_positions)
             scores = ad.index_select(head_score_tape(pt, tape.constant(finals.data)), rec.row_of_slot)
-            weights = ranking_weights(rec.rewards, tcfg.baseline)
-            return ad.asum(ad.mul(pl_log_prob_tape(scores, rec.rankings), tape.constant(weights)))
+            return ranking_objective(scores, rec.rankings, rec.rewards, tcfg.baseline)
 
         def objectives(pt):
             ppo_obj, head_obj, ratio = instance_objectives(pt, rec, tcfg, PCFG)

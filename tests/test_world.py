@@ -97,7 +97,7 @@ def test_instance_protocol():
     world = small_world()
     K, L = 8, 5
     instances, stats = build_instances(world, "test", K=K, L=L)
-    assert stats.built == len(instances) > 0
+    assert len(instances) > 0
     assert stats.skipped_no_positive == 0 and stats.skipped_few_negatives == 0
     for inst in instances:
         assert len(inst.candidates) == K
@@ -143,7 +143,6 @@ def test_starved_config_skips():
     world = small_world(exposure_pool=16)
     instances, stats = build_instances(world, "test", K=16)
     assert instances == []
-    assert stats.built == 0
     assert stats.skipped_few_negatives > 0
 
 
@@ -224,7 +223,7 @@ def test_sft_corpus_filters_noisy_teachers():
     instances, _ = build_instances(world, "valid", K=8, L=5)
     noise = 0.25
     kept, stats = build_sft_corpus(instances, noise, seed=5, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab))
-    total = stats.kept + stats.rejected
+    total = len(kept) + stats.rejected
     assert total == len(instances) * 8
     se = np.sqrt(noise * (1 - noise) / total)
     assert abs(stats.rejected / total - noise) < 4 * se
@@ -238,12 +237,12 @@ def test_sft_corpus_filters_noisy_teachers():
     # zero noise keeps every pair
     kept0, stats0 = build_sft_corpus(instances, 0.0, seed=5, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab))
     assert stats0.rejected == 0
-    assert stats0.kept == total
+    assert len(kept0) == total
 
 
 def _per_pair_corpus(instances, noise_rate, seed, vocab, selfcheck_k):
     """The corpus built one (instance, candidate) pair at a time, each with its own stream."""
-    kept, stats = [], {"kept": 0, "rejected": 0, "kept_positive": 0}
+    kept, stats = [], {"rejected": 0, "kept_positive": 0}
     for inst in instances:
         hist = history_array(inst.ctx, vocab.m)
         for slot, item in enumerate(inst.candidates):
@@ -256,7 +255,6 @@ def _per_pair_corpus(instances, noise_rate, seed, vocab, selfcheck_k):
             (target,) = teacher_targets(
                 hist, np.array([item.tokens]), np.array([decision]), vocab, selfcheck_k
             )
-            stats["kept"] += 1
             stats["kept_positive"] += truth
             kept.append(
                 SftExample(
@@ -300,7 +298,7 @@ def test_train_frequency_matches_emitted_train_positives():
     n_train_users = sum(
         split_of_user(world.seed, u) == "train" for u in range(world.cfg.n_users)
     )
-    assert stats.built == n_train_users  # precondition: nothing skipped
+    assert len(instances) == n_train_users  # precondition: nothing skipped
     recount = np.zeros(world.cfg.n_items, dtype=np.int64)
     for inst in instances:
         pos = inst.candidates[inst.positive_index()]
@@ -451,6 +449,12 @@ def test_instances_jsonl_validation_errors(tmp_path):
     for grades, bad in (([-1, 1], -1), ([1, 2], 2)):
         with pytest.raises(DataFormatError, match=f"bad.jsonl: line 2: relevance grade {bad} is not 0 or 1"):
             load_instances_jsonl(write([header, json.dumps(dict(record, relevance=grades))]))
+
+    long = json.loads(json.dumps(record))
+    long["user"]["history"] = [{"item_id": f"h{t}", "tokens": [0, 1], "t": t} for t in range(4)]
+    assert len(load_instances_jsonl(write([header, json.dumps(long)]), max_history=4)[0]) == 1
+    with pytest.raises(DataFormatError, match="bad.jsonl: line 2: history length 4 exceeds L=3"):
+        load_instances_jsonl(write([header, json.dumps(long)]), max_history=3)
     check_common_faults(load_instances_jsonl, write, header, record, other_kind="sft")
 
 
@@ -496,6 +500,9 @@ def test_sft_jsonl_validation_errors(tmp_path):
             load_sft_jsonl(write([header, json.dumps(dict(record, **{key: []}))]))
     with pytest.raises(DataFormatError, match="line 2: ground_truth 2 and teacher_decision 1 must be 0 or 1"):
         load_sft_jsonl(write([header, json.dumps(dict(record, ground_truth=2))]))
+    assert len(load_sft_jsonl(write([header, json.dumps(record)]), max_len=4)[0]) == 1
+    with pytest.raises(DataFormatError, match="bad.jsonl: line 2: row length 2 \\+ 2 exceeds max_len 3"):
+        load_sft_jsonl(write([header, json.dumps(record)]), max_len=3)
     check_common_faults(load_sft_jsonl, write, header, record, other_kind="instances")
 
 
