@@ -2,9 +2,10 @@
 
 A Tape records every op application in creation order; backward() replays the
 records in reverse, which is a valid topological order for a define-by-run
-graph. Elementwise binaries require identical shapes or a scalar operand;
-anything else must go through an explicit broadcast_to/reshape, so shape bugs
-fail loudly at op time instead of silently broadcasting.
+graph. Elementwise binaries require identical shapes; anything else must go
+through an explicit broadcast_to/reshape, so shape bugs fail loudly at op time
+instead of silently broadcasting. Reductions (`asum`, `mean`) take the whole
+tensor, and `softmax` and `log_softmax` work on the last axis.
 
 Besides the fine-grained primitives there are two fused layer ops, `linear`
 and `causal_attention`. The numpy decoder shares their plain-numpy forwards,
@@ -118,13 +119,8 @@ def _same_tape(*tensors: Tensor) -> Tape:
 
 
 def _check_elementwise(a: Tensor, b: Tensor) -> None:
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.size == 1 or b.data.size == 1:
-        return
-    raise ContractViolation(
-        f"elementwise op needs equal shapes or a scalar, got {a.data.shape} and {b.data.shape}"
-    )
+    if a.data.shape != b.data.shape:
+        raise ContractViolation(f"elementwise op needs equal shapes, got {a.data.shape} and {b.data.shape}")
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -145,10 +141,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b)
     out = a.data + b.data
     requires = a.requires or b.requires
-    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward_fn(g: Array):
-        return (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
+        return (g, g)
 
     return tape._record(out, (a.node_id, b.node_id), backward_fn, requires)
 
@@ -161,10 +156,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     requires = a.requires or b.requires
 
     def backward_fn(g: Array):
-        return (
-            _unbroadcast(g * b_data, a_data.shape),
-            _unbroadcast(g * a_data, b_data.shape),
-        )
+        return (g * b_data, g * a_data)
 
     return tape._record(out, (a.node_id, b.node_id), backward_fn, requires)
 
@@ -368,37 +360,30 @@ def causal_attention(
     return tape._record(merge_heads(out), (q.node_id, k.node_id, v.node_id), backward_fn, requires)
 
 
-def _axis_tuple(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(a % ndim for a in axis)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g: Array):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return ((g - inner) * y,)
 
     return x.tape._record(y, (x.node_id,), backward_fn, x.requires)
 
 
-def log_softmax_forward(x: Array, axis: int = -1) -> Array:
-    """Log-softmax of a plain array along `axis`: the tape op's forward, which the numpy decoder calls."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+def log_softmax_forward(x: Array) -> Array:
+    """Log-softmax of a plain array along its last axis: the tape op's forward,
+    which the numpy decoder calls."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    y = log_softmax_forward(x.data, axis)
+def log_softmax(x: Tensor) -> Tensor:
+    y = log_softmax_forward(x.data)
 
     def backward_fn(g: Array):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
 
     return x.tape._record(y, (x.node_id,), backward_fn, x.requires)
 
@@ -431,25 +416,20 @@ def relu(x: Tensor) -> Tensor:
     return x.tape._record(out, (x.node_id,), backward_fn, x.requires)
 
 
-def asum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def asum(x: Tensor) -> Tensor:
+    """The sum of every element of x, a 0-d Tensor."""
+    out = x.data.sum()
     shape = x.data.shape
 
     def backward_fn(g: Array):
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis=_axis_tuple(axis, len(shape)))
-        return (np.broadcast_to(gg, shape).copy() if np.ndim(gg) else np.full(shape, gg, dtype=np.float64),)
+        return (np.full(shape, g, dtype=np.float64),)
 
     return x.tape._record(np.asarray(out), (x.node_id,), backward_fn, x.requires)
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _axis_tuple(axis, x.data.ndim)
-    count = 1
-    for a in axes:
-        count *= x.data.shape[a]
-    return scale(asum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+def mean(x: Tensor) -> Tensor:
+    """The mean of every element of x, a 0-d Tensor."""
+    return scale(asum(x), 1.0 / x.data.size)
 
 
 def index_select(table: Tensor, indices) -> Tensor:
@@ -555,13 +535,9 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b)
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
-    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward_fn(g: Array):
-        return (
-            _unbroadcast(g * take_a, a_shape),
-            _unbroadcast(g * ~take_a, b_shape),
-        )
+        return (g * take_a, g * ~take_a)
 
     return tape._record(out, (a.node_id, b.node_id), backward_fn, a.requires or b.requires)
 

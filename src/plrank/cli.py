@@ -26,7 +26,7 @@ from .config import (
 )
 from .errors import ConfigError, DataFormatError
 from .evaluation import evaluate, probe_history_shuffle, probe_position, stratify
-from .policy import init_params, load_checkpoint, save_checkpoint, serialize_context
+from .policy import init_params, load_checkpoint, param_shapes, save_checkpoint, serialize_context
 from .report import (
     parse_report_header,
     read_table,
@@ -81,6 +81,25 @@ def _load_instances(out: Path, split: str, cfg: RunConfig):
     if not path.exists():
         raise DataFormatError(f"missing {path}; run gen-data first")
     return load_instances_jsonl(path, policy_config(cfg).vocab(), max_history=cfg.data.L)
+
+
+def _load_params(path, pcfg) -> tuple[dict, str]:
+    """A checkpoint's tensors, each checked against the model's `param_shapes`,
+    and its config hash, unchecked: an RL run may change its `rl` settings
+    over the same SFT checkpoint."""
+    params, embedded_hash, _ = load_checkpoint(path)
+    shapes = param_shapes(pcfg)
+    for name in sorted(params.keys() | shapes.keys()):
+        if name not in shapes:
+            fault = "is not a tensor of the model"
+        elif name not in params:
+            fault = "is missing"
+        elif params[name].shape != shapes[name]:
+            fault = f"has shape {params[name].shape}, the model's is {shapes[name]}"
+        else:
+            continue
+        raise DataFormatError(f"{path}: tensor {name} {fault}")
+    return params, embedded_hash
 
 
 def _serialize_fn(vocab):
@@ -154,7 +173,7 @@ def cmd_train(args) -> int:
             raise DataFormatError(f"missing {sft_path}; run build-sft first")
         examples, _ = load_sft_jsonl(sft_path, pcfg.vocab(), max_len=pcfg.max_len)
         if args.init is not None:
-            params, _, _ = load_checkpoint(args.init)
+            params, _ = _load_params(args.init, pcfg)
         else:
             params = init_params(pcfg, substream(cfg.seed, "init", "policy"))
         # the metrics file is replaced only once the checkpoint is written
@@ -175,7 +194,7 @@ def cmd_train(args) -> int:
     init_path = args.init if args.init is not None else out / "sft_model.bin"
     if not Path(init_path).exists():
         raise DataFormatError(f"missing init checkpoint {init_path}; train the sft stage first")
-    params, _, _ = load_checkpoint(init_path)
+    params, _ = _load_params(init_path, pcfg)
     with atomic_write(out / "metrics_rl.csv", "w", encoding="utf-8", newline="") as fh:
         metrics = MetricsWriter(fh, h, cfg.seed)
         rows = rl_train(params, instances, pcfg, tcfg, seed=cfg.seed, metrics=metrics)
@@ -194,7 +213,7 @@ def _load_model(args, out: Path, cfg: RunConfig):
             path = out / "sft_model.bin"
     if not path.exists():
         raise DataFormatError(f"no checkpoint found at {path}; train first or pass --ckpt")
-    params, embedded_hash, seed = load_checkpoint(path)
+    params, embedded_hash = _load_params(path, policy_config(cfg))
     expected = config_hash(cfg)
     if embedded_hash != expected:
         raise DataFormatError(

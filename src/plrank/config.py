@@ -100,6 +100,24 @@ class RunConfig:
 
 
 _SECTIONS = ("world", "data", "model", "sft", "rl", "eval")
+_KINDS = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string", tuple: "a list of integers",
+}
+
+
+def _check_type(value, desk, where: str) -> None:
+    """`value` must have the type of the desk value `desk`: a bool is not an
+    integer, a tuple field takes a list of integers, and a float field an
+    integer too. No value is converted, so a valid config keeps its hash."""
+    kind = type(desk)
+    if kind is tuple:
+        ok = isinstance(value, list) and all(type(v) is int for v in value)
+    elif kind is float:
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
 
 
 def _build_section(base, data: dict, where: str):
@@ -107,9 +125,10 @@ def _build_section(base, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be an object")
     known = {f.name for f in dataclasses.fields(base)}
-    for key in data:
+    for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown key {where}.{key}")
+        _check_type(value, getattr(base, key), f"{where}.{key}")
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     return dataclasses.replace(base, **kwargs)
 
@@ -123,8 +142,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
             raise ConfigError(f"unknown key {key}")
     kwargs = {}
     if "seed" in data:
-        if not isinstance(data["seed"], int):
-            raise ConfigError(f"seed must be an integer, got {data['seed']!r}")
+        _check_type(data["seed"], defaults.seed, "seed")
         kwargs["seed"] = data["seed"]
     for name in _SECTIONS:
         base = getattr(defaults, name)

@@ -63,8 +63,8 @@ def evaluate(
     params: dict[str, np.ndarray],
     instances: list[RankingInstance],
     pcfg: PolicyConfig,
-    cutoffs: tuple[int, ...] = (1, 5, 10),
-    cot: bool = True,
+    cutoffs: tuple[int, ...],
+    cot: bool,
 ) -> EvalReport:
     """Greedy decoding evaluation over a split."""
     if not instances:
@@ -171,9 +171,9 @@ def probe_position(
     params: dict[str, np.ndarray],
     instances: list[RankingInstance],
     pcfg: PolicyConfig,
-    slots: tuple[int, ...] = (1, 10, 20),
+    slots: tuple[int, ...],
+    cot: bool,
     scorer=score_instance,
-    cot: bool = True,
 ) -> PositionProbeResult:
     """Move the positive candidate to fixed slots; its rank must not care.
 
@@ -241,10 +241,10 @@ def probe_history_shuffle(
     params: dict[str, np.ndarray],
     instances: list[RankingInstance],
     pcfg: PolicyConfig,
-    cutoff: int = 10,
-    n_shuffles: int = 10,
-    seed: int = 0,
-    cot: bool = True,
+    cutoff: int,
+    n_shuffles: int,
+    seed: int,
+    cot: bool,
 ) -> HistoryShuffleResult:
     """Measure sensitivity of test quality to history event order.
 

@@ -80,12 +80,6 @@ class Vocab:
             raise ContractViolation(f"bucket {bad} out of range [0, {self.buckets})")
         return self._offsets + buckets
 
-    def attr_parts(self, token: int) -> tuple[int, int] | None:
-        if token < self._BASE or token >= self.size:
-            return None
-        rel = token - self._BASE
-        return rel // self.buckets, rel % self.buckets
-
     def decision_token(self, decisions) -> np.ndarray:
         """RECOMMEND where a decision is nonzero, NOT_RECOMMEND elsewhere."""
         return np.where(np.asarray(decisions) != 0, self.RECOMMEND, self.NOT_RECOMMEND)
@@ -178,37 +172,30 @@ def prefix_length(m: int, history_len: int) -> int:
     return m * (history_len + 2) + max(history_len - 1, 0) + 2
 
 
-def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """All weights N(0, init_std), all biases zero."""
-    cfg.validate()
+def param_shapes(cfg: PolicyConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor of the model, name -> shape, in the order `init_params` draws them.
+
+    The 2-d tensors are weights and the 1-d ones biases.
+    """
     v = cfg.vocab().size
     d, ff, dh = cfg.d_model, cfg.d_ff, cfg.head_hidden
-    std = cfg.init_std
-
-    def w(*shape):
-        return rng.normal(0.0, std, size=shape)
-
-    params: dict[str, np.ndarray] = {
-        "emb": w(v, d),
-        "pos": w(cfg.max_len, d),
-        "out.w": w(d, v),
-        "out.b": np.zeros(v),
-    }
+    shapes = {"emb": (v, d), "pos": (cfg.max_len, d), "out.w": (d, v), "out.b": (v,)}
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            params[p + name] = w(d, d)
-        for name in ("bq", "bk", "bv", "bo"):
-            params[p + name] = np.zeros(d)
-        params[p + "w1"] = w(d, ff)
-        params[p + "b1"] = np.zeros(ff)
-        params[p + "w2"] = w(ff, d)
-        params[p + "b2"] = np.zeros(d)
-    params["head.w1"] = w(d, dh)
-    params["head.b1"] = np.zeros(dh)
-    params["head.w2"] = w(dh, 1)
-    params["head.b2"] = np.zeros(1)
-    return params
+        shapes.update({p + name: (d, d) for name in ("wq", "wk", "wv", "wo")})
+        shapes.update({p + name: (d,) for name in ("bq", "bk", "bv", "bo")})
+        shapes.update({p + "w1": (d, ff), p + "b1": (ff,), p + "w2": (ff, d), p + "b2": (d,)})
+    shapes.update({"head.w1": (d, dh), "head.b1": (dh,), "head.w2": (dh, 1), "head.b2": (1,)})
+    return shapes
+
+
+def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """All weights N(0, init_std), drawn in `param_shapes` order; all biases zero."""
+    cfg.validate()
+    return {
+        name: rng.normal(0.0, cfg.init_std, size=shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in param_shapes(cfg).items()
+    }
 
 
 def is_head_param(name: str) -> bool:
@@ -362,7 +349,7 @@ def sequence_log_probs_tape(
     """
     columns = positions - (starts[rows] if np.ndim(starts) else starts)
     picked = gather_positions_tape(hidden, rows, columns)
-    log_probs = ad.log_softmax(ad.linear(picked, pt["out.w"], pt["out.b"]), axis=-1)
+    log_probs = ad.log_softmax(ad.linear(picked, pt["out.w"], pt["out.b"]))
     n, v = log_probs.shape
     flat = ad.reshape(log_probs, (n * v,))
     return ad.index_select(flat, np.arange(n) * v + ids[rows, positions + 1])

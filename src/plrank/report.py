@@ -196,7 +196,7 @@ def _fmt_coord(x: float) -> str:
 
 
 def write_line_chart_svg(
-    path, xs, ys, title: str, config_hash: str, seed: int, y_label: str = "value"
+    path, xs, ys, title: str, config_hash: str, seed: int, y_label: str
 ) -> None:
     """ys against the training steps xs."""
     xs = np.asarray(xs, dtype=np.float64)

@@ -94,10 +94,10 @@ class TrainConfig(SftConfig):
 class Adam:
     """Adam with separate policy and head learning rates, as one vector.
 
-    A step concatenates the gradients of the names it is given, in sorted
-    order, and updates flat moment buffers with the per-tensor formula;
-    `m[name]` and `v[name]` are views into those buffers. A step over other
-    names than the last lays the buffers out again, keeping every moment.
+    The first step lays out flat moment buffers over the names it is given, in
+    sorted order, and every later step must give the same names. A step
+    concatenates their gradients and updates the buffers with the per-tensor
+    formula; `m[name]` and `v[name]` are views into them.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -106,32 +106,33 @@ class Adam:
         self.lr_policy = lr_policy
         self.lr_head = lr_head
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._names: tuple[str, ...] = ()
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self._names: tuple[str, ...] | None = None
 
-    def _lay_out(self, names: tuple[str, ...]) -> None:
+    def _lay_out(self, params: dict[str, np.ndarray], names: tuple[str, ...]) -> None:
         self._names = names
-        self._bounds = np.cumsum([0] + [self.m[name].size for name in names])
-        self._flat_m, self._flat_v = (
-            np.concatenate([moments[name].ravel() for name in names]) for moments in (self.m, self.v)
-        )
+        self._bounds = np.cumsum([0] + [params[name].size for name in names])
+        self._flat_m, self._flat_v = np.zeros(self._bounds[-1]), np.zeros(self._bounds[-1])
         for name, lo, hi in zip(names, self._bounds, self._bounds[1:]):
-            shape = self.m[name].shape
-            self.m[name] = self._flat_m[lo:hi].reshape(shape)
-            self.v[name] = self._flat_v[lo:hi].reshape(shape)
+            self.m[name] = self._flat_m[lo:hi].reshape(params[name].shape)
+            self.v[name] = self._flat_v[lo:hi].reshape(params[name].shape)
         self._lr = np.concatenate([
-            np.full(self.m[name].size, self.lr_head if is_head_param(name) else self.lr_policy)
+            np.full(params[name].size, self.lr_head if is_head_param(name) else self.lr_policy)
             for name in names
         ])
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        names = tuple(sorted(grads))
+        if self._names is None:
+            self._lay_out(params, names)
+        elif names != self._names:
+            raise ContractViolation(
+                f"Adam was laid out over {len(self._names)} names, not this step's {len(names)}"
+            )
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        names = tuple(sorted(grads))
-        if names != self._names:
-            self._lay_out(names)
         g = np.concatenate([grads[name].ravel() for name in names])
         m, v = self._flat_m, self._flat_v
         m *= self.beta1

@@ -229,22 +229,22 @@ def _frozen(values: np.ndarray, dtype) -> np.ndarray:
 def build_instances(
     world: World,
     split: str,
-    K: int = 20,
-    L: int = 20,
-    train_counts: np.ndarray | None = None,
+    K: int,
+    L: int,
+    train_counts: np.ndarray,
 ) -> tuple[list[RankingInstance], BuildStats]:
     """One ranking instance per eligible user of the split.
 
     Each instance: the user's most recent positive held out as the single
     relevant candidate, K-1 negatives sampled by popularity from the
     non-relevant exposure pool, presentation order shuffled per instance.
+    Each candidate's train frequency is read from `train_counts`, as
+    `train_positive_counts` returns them.
 
     The events that the last `train_positive_counts` on this world kept are
     taken off it, whatever the split, and used for this split's users; every
     other user's are derived by `user_events`.
     """
-    if train_counts is None:
-        train_counts = train_positive_counts(world)
     kept, world.train_events = world.train_events or {}, None
     if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}")
@@ -330,7 +330,7 @@ def teacher_targets(
     cand: np.ndarray,
     decisions: np.ndarray,
     vocab,
-    selfcheck_k: int = 2,
+    selfcheck_k: int,
 ) -> list[np.ndarray]:
     """Template rationales for the (K, m) candidates `cand` against one (H, m) history.
 
@@ -380,7 +380,7 @@ def build_sft_corpus(
     seed: int,
     vocab,
     serialize_fn,
-    selfcheck_k: int = 2,
+    selfcheck_k: int,
 ) -> tuple[list[SftExample], CorpusStats]:
     """Teacher every (instance, candidate) pair, keeping only correct decisions.
 
@@ -426,10 +426,10 @@ def build_sft_corpus(
     return kept, stats
 
 
-def _write_jsonl(path, kind: str, records: list[dict], meta: dict | None) -> None:
+def _write_jsonl(path, kind: str, records: list[dict], meta: dict) -> None:
     """The data-file format: a header line (schema, kind, count, then `meta`),
     then one JSON object per record, every object with sorted keys."""
-    header = {"schema": SCHEMA_VERSION, "kind": kind, "count": len(records), **(meta or {})}
+    header = {"schema": SCHEMA_VERSION, "kind": kind, "count": len(records), **meta}
     with atomic_write(path, "w", encoding="utf-8") as fh:
         for obj in (header, *records):
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -465,7 +465,7 @@ def _read_jsonl(path, kind: str, parse) -> tuple[list, dict]:
     return records, header
 
 
-def save_instances_jsonl(path, instances, meta: dict | None = None) -> None:
+def save_instances_jsonl(path, instances, meta: dict) -> None:
     records = [
         {
             "instance_id": inst.instance_id,
@@ -488,15 +488,12 @@ def save_instances_jsonl(path, instances, meta: dict | None = None) -> None:
     _write_jsonl(path, "instances", records, meta)
 
 
-def load_instances_jsonl(
-    path, vocab=None, max_history: int | None = None
-) -> tuple[list[RankingInstance], dict]:
+def load_instances_jsonl(path, vocab, max_history: int) -> tuple[list[RankingInstance], dict]:
     """Parse and validate an instance file; errors name the file and line.
 
     Every id must be a string and every grade 0 or 1. Every token run must
-    have as many tokens as the profile, or with a `vocab` its m tokens, each a
-    bucket below its `buckets`. With a `max_history`, no user may have more
-    history events.
+    have the `vocab`'s m tokens, each a bucket below its `buckets`, and no
+    user may have more than `max_history` history events.
     """
     seen: set[str] = set()
 
@@ -519,19 +516,18 @@ def load_instances_jsonl(
         bad = [g for g in grades if g not in (0, 1)]
         if bad:
             raise DataFormatError(f"relevance grade {bad[0]} is not 0 or 1")
-        m = len(user["profile_tokens"]) if vocab is None else vocab.m
 
         def tokens(values, what):
-            if len(values) != m:
-                raise DataFormatError(f"{what} tokens length {len(values)} != m={m}")
+            if len(values) != vocab.m:
+                raise DataFormatError(f"{what} tokens length {len(values)} != m={vocab.m}")
             values = tuple(int(t) for t in values)
-            if vocab is not None and (min(values) < 0 or max(values) >= vocab.buckets):
+            if min(values) < 0 or max(values) >= vocab.buckets:
                 bad = next(t for t in values if not 0 <= t < vocab.buckets)
                 raise DataFormatError(f"{what} bucket {bad} out of range [0, {vocab.buckets})")
             return values
 
         profile = tokens(user["profile_tokens"], "profile")
-        if max_history is not None and len(user["history"]) > max_history:
+        if len(user["history"]) > max_history:
             raise DataFormatError(f"history length {len(user['history'])} exceeds L={max_history}")
         history = tuple(
             HistoryEvent(
@@ -559,7 +555,7 @@ def load_instances_jsonl(
     return _read_jsonl(path, "instances", parse)
 
 
-def save_sft_jsonl(path, examples: list[SftExample], meta: dict | None = None) -> None:
+def save_sft_jsonl(path, examples: list[SftExample], meta: dict) -> None:
     records = [
         {
             "instance_id": ex.instance_id,
@@ -580,13 +576,12 @@ def _parse_sft(rec, vocab, max_len) -> SftExample:
         raise DataFormatError("prefix and target must be lists of token ids")
     if not prefix.size or not target.size:
         raise DataFormatError("prefix and target must not be empty")
-    if max_len is not None and prefix.size + target.size > max_len:
+    if prefix.size + target.size > max_len:
         raise DataFormatError(f"row length {prefix.size} + {target.size} exceeds max_len {max_len}")
-    if vocab is not None:
-        for what, ids in (("prefix", prefix), ("target", target)):
-            bad = ids[(ids < 0) | (ids >= vocab.size)]
-            if bad.size:
-                raise DataFormatError(f"{what} token {bad[0]} out of range [0, {vocab.size})")
+    for what, ids in (("prefix", prefix), ("target", target)):
+        bad = ids[(ids < 0) | (ids >= vocab.size)]
+        if bad.size:
+            raise DataFormatError(f"{what} token {bad[0]} out of range [0, {vocab.size})")
     ground_truth, decision = int(rec["ground_truth"]), int(rec["teacher_decision"])
     if ground_truth not in (0, 1) or decision not in (0, 1):
         raise DataFormatError(f"ground_truth {ground_truth} and teacher_decision {decision} must be 0 or 1")
@@ -600,8 +595,8 @@ def _parse_sft(rec, vocab, max_len) -> SftExample:
     )
 
 
-def load_sft_jsonl(path, vocab=None, max_len: int | None = None) -> tuple[list[SftExample], dict]:
-    """Parse and validate a teacher corpus; with a `vocab`, every token must be
-    one of its ids, and with a `max_len`, no row's prefix and target together
-    may be longer."""
+def load_sft_jsonl(path, vocab, max_len: int) -> tuple[list[SftExample], dict]:
+    """Parse and validate a teacher corpus: every token must be one of the
+    `vocab`'s ids, and no row's prefix and target together may be longer than
+    `max_len`."""
     return _read_jsonl(path, "sft", lambda rec: _parse_sft(rec, vocab, max_len))

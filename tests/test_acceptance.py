@@ -470,14 +470,14 @@ def test_a06_ablation_ordering():
 
 
 def test_a07_position_bias_immunity(desk_run):
-    params, pcfg = desk_run["params"], desk_run["pcfg"]
+    params, pcfg, cot = desk_run["params"], desk_run["pcfg"], desk_run["cfg"].rl.cot
     instances = desk_run["test_instances"][:100]
-    probe = probe_position(params, instances, pcfg, slots=(1, 10, 20))
+    probe = probe_position(params, instances, pcfg, slots=(1, 10, 20), cot=cot)
     assert probe.identical, probe.histograms
     assert probe.max_spread == 0
 
     leaky = probe_position(
-        params, instances, pcfg, slots=(1, 10, 20), scorer=presentation_index_scorer
+        params, instances, pcfg, slots=(1, 10, 20), cot=cot, scorer=presentation_index_scorer
     )
     assert not leaky.identical
     assert leaky.max_spread > 0
@@ -498,7 +498,7 @@ def test_a08_history_shuffle_probe(desk_run, tmp_path):
     params, pcfg, cfg = desk_run["params"], desk_run["pcfg"], desk_run["cfg"]
     instances = desk_run["test_instances"][:40]
     result = probe_history_shuffle(
-        params, instances, pcfg, cutoff=10, n_shuffles=10, seed=cfg.seed
+        params, instances, pcfg, cutoff=10, n_shuffles=10, seed=cfg.seed, cot=cfg.rl.cot
     )
 
     path = tmp_path / "probe_history.csv"

@@ -108,10 +108,13 @@ def test_missing_prerequisites_fail_cleanly(workdir, capsys):
 
 def test_bad_config_fails_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"world": {"n_user": 10}}))
-    assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "unknown key world.n_user" in err
+    for config, message in (
+        ({"world": {"n_user": 10}}, "error: ConfigError: unknown key world.n_user\n"),
+        (dict(TINY_CONFIG, sft={"steps": "5"}), "error: ConfigError: sft.steps must be an integer, got '5'\n"),
+    ):
+        bad.write_text(json.dumps(config))
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == message
 
 
 def test_unreadable_artifacts_fail_with_one_line(workdir, capsys):
@@ -164,6 +167,30 @@ def test_checkpoint_config_mismatch_detected(workdir, tmp_path, capsys):
     assert main(["eval", "--config", str(other_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "was trained under config" in err
+
+
+def test_checkpoint_that_does_not_fit_the_model_fails_with_one_line(workdir, tmp_path, capsys):
+    cfg_path, out = workdir
+    for argv in (["gen-data"], ["build-sft"], ["train", "--stage", "sft"]):
+        assert run(cfg_path, out, *argv) == 0
+    ckpt = out / "sft_model.bin"
+    wider = tmp_path / "wider.json"  # the same world and data, a wider model
+    wider.write_text(json.dumps(dict(TINY_CONFIG, model=dict(TINY_CONFIG["model"], d_model=16))))
+    misshapen = f"error: DataFormatError: {ckpt}: tensor emb has shape (17, 8), the model's is (17, 16)\n"
+    for argv in (["train", "--stage", "rl"], ["train", "--stage", "sft", "--init", str(ckpt)], ["eval"]):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(wider), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == misshapen
+    params, embedded_hash, seed = load_checkpoint(ckpt)
+    forged = out / "forged.bin"
+    for tensors, fault in (
+        ({k: v for k, v in params.items() if k != "head.b2"}, "tensor head.b2 is missing"),
+        (dict(params, extra=params["head.b2"]), "tensor extra is not a tensor of the model"),
+    ):
+        save_checkpoint(forged, tensors, embedded_hash, seed)
+        capsys.readouterr()
+        assert run(cfg_path, out, "eval", "--ckpt", str(forged)) == 2
+        assert capsys.readouterr().err == f"error: DataFormatError: {forged}: {fault}\n"
 
 
 def test_verify_detects_seed_mismatch(workdir, capsys):

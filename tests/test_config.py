@@ -68,6 +68,15 @@ def test_bad_values_rejected():
         run_config_from_dict({"rl": {"rankings_per_instance": 1}})  # the desk loo baseline needs >= 2
     with pytest.raises(ConfigError):
         run_config_from_dict({"seed": "forty-two"})
+    with pytest.raises(ConfigError, match="seed must be an integer, got True"):
+        run_config_from_dict({"seed": True})
+    for value in ("5", 5.0, True):  # a str, a float and a bool for an int field
+        with pytest.raises(ConfigError, match="sft.steps must be an integer"):
+            run_config_from_dict({"sft": {"steps": value}})
+    with pytest.raises(ConfigError, match="rl.joint must be true or false, got 1"):
+        run_config_from_dict({"rl": {"joint": 1}})
+    with pytest.raises(ConfigError, match="eval.cutoffs must be a list of integers"):
+        run_config_from_dict({"eval": {"cutoffs": [1, 5.0, 10]}})
     with pytest.raises(ConfigError):
         run_config_from_dict({"model": {"max_len": 128}})  # prefix would not fit
     with pytest.raises(ConfigError):
@@ -80,6 +89,8 @@ def test_tuple_fields_accept_lists():
     )
     assert cfg.eval.cutoffs == (1, 5)
     assert cfg.eval.probe_slots == (1, 3)
+    # a float field takes an integer as it is, so the config hashes as written
+    assert type(run_config_from_dict({"sft": {"lr_policy": 1}}).sft.lr_policy) is int
 
 
 def test_effective_round_trip(tmp_path):

@@ -32,7 +32,7 @@ from plrank.report import (
     write_summary_json,
 )
 from plrank.rng import substream
-from plrank.world import RankingInstance, WorldConfig, build_instances, generate_world
+from plrank.world import RankingInstance, WorldConfig, build_instances, generate_world, train_positive_counts
 
 WCFG = WorldConfig(n_users=80, n_items=60, m=4, exposure_pool=24)
 PCFG = PolicyConfig(
@@ -43,7 +43,7 @@ PCFG = PolicyConfig(
 
 def tiny_setup(seed: int = 3, split: str = "test", K: int = 4, L: int = 3):
     world = generate_world(WCFG, seed)
-    instances, _ = build_instances(world, split, K=K, L=L)
+    instances, _ = build_instances(world, split, K=K, L=L, train_counts=train_positive_counts(world))
     return world, instances
 
 
@@ -84,7 +84,7 @@ def test_score_instance_presentation_invariant():
 def test_evaluate_report_consistency():
     world, instances = tiny_setup()
     params = fresh_params()
-    report = evaluate(params, instances, PCFG, cutoffs=(1, 3))
+    report = evaluate(params, instances, PCFG, cutoffs=(1, 3), cot=True)
     assert report.n_instances == len(instances)
     assert report.n_excluded == 0
     for c in (1, 3):
@@ -108,11 +108,11 @@ def test_evaluate_excludes_unjudged_instances():
         candidates=inst.candidates,
         relevance=tuple(0 for _ in inst.relevance),
     )
-    report = evaluate(params, [inst, unjudged], PCFG, cutoffs=(1,))
+    report = evaluate(params, [inst, unjudged], PCFG, cutoffs=(1,), cot=True)
     assert report.n_instances == 1
     assert report.n_excluded == 1
     with pytest.raises(ContractViolation):
-        evaluate(params, [], PCFG)
+        evaluate(params, [], PCFG, cutoffs=(1,), cot=True)
 
 
 def synthetic_report() -> EvalReport:
@@ -162,7 +162,7 @@ def test_frequency_quartiles_split_quarterly():
 def test_position_probe_detects_leaky_scorer():
     world, instances = tiny_setup()
     result = probe_position(
-        None, instances[:6], PCFG, slots=(1, 2, 4), scorer=presentation_index_scorer
+        None, instances[:6], PCFG, slots=(1, 2, 4), cot=True, scorer=presentation_index_scorer
     )
     assert not result.identical
     assert result.max_spread > 0
@@ -175,7 +175,7 @@ def test_position_probe_detects_leaky_scorer():
 def test_position_probe_passes_clean_scorer():
     world, instances = tiny_setup()
     result = probe_position(
-        None, instances[:6], PCFG, slots=(1, 2, 4), scorer=item_id_scorer
+        None, instances[:6], PCFG, slots=(1, 2, 4), cot=True, scorer=item_id_scorer
     )
     assert result.identical
     assert result.max_spread == 0
@@ -186,7 +186,7 @@ def test_position_probe_passes_clean_scorer():
 def test_position_probe_on_real_model_is_clean():
     world, instances = tiny_setup()
     params = fresh_params()
-    result = probe_position(params, instances[:4], PCFG, slots=(1, 2, 4))
+    result = probe_position(params, instances[:4], PCFG, slots=(1, 2, 4), cot=True)
     assert result.identical
     assert result.max_spread == 0
 
@@ -194,8 +194,8 @@ def test_position_probe_on_real_model_is_clean():
 def test_history_shuffle_probe_shapes_and_determinism():
     world, instances = tiny_setup()
     params = fresh_params()
-    a = probe_history_shuffle(params, instances[:5], PCFG, cutoff=3, n_shuffles=3, seed=9)
-    b = probe_history_shuffle(params, instances[:5], PCFG, cutoff=3, n_shuffles=3, seed=9)
+    a = probe_history_shuffle(params, instances[:5], PCFG, cutoff=3, n_shuffles=3, seed=9, cot=True)
+    b = probe_history_shuffle(params, instances[:5], PCFG, cutoff=3, n_shuffles=3, seed=9, cot=True)
     assert a.shuffle_means.shape == (3,)
     assert np.array_equal(a.shuffle_means, b.shuffle_means)
     assert a.original_mean == b.original_mean
@@ -203,7 +203,7 @@ def test_history_shuffle_probe_shapes_and_determinism():
     assert a.std == pytest.approx(a.shuffle_means.std(ddof=0))
     assert a.range == pytest.approx(a.shuffle_means.max() - a.shuffle_means.min())
     assert 0.0 <= a.original_mean <= 1.0
-    assert a.original_mean == evaluate(params, instances[:5], PCFG, cutoffs=(3,)).mean[3]
+    assert a.original_mean == evaluate(params, instances[:5], PCFG, cutoffs=(3,), cot=True).mean[3]
 
 
 def test_report_header_round_trip():
@@ -221,7 +221,7 @@ def test_report_header_round_trip():
 def test_eval_csv_round_trip(tmp_path):
     world, instances = tiny_setup()
     params = fresh_params()
-    report = evaluate(params, instances[:5], PCFG, cutoffs=(1, 3))
+    report = evaluate(params, instances[:5], PCFG, cutoffs=(1, 3), cot=True)
     path = tmp_path / "eval.csv"
     write_eval_csv(path, report, "f00d" * 16, 3)
     meta, header, rows = read_table(path)
@@ -253,7 +253,7 @@ def test_strata_and_summary_emitters(tmp_path):
 
 def test_probe_emitters_round_trip(tmp_path):
     world, instances = tiny_setup()
-    pos = probe_position(None, instances[:6], PCFG, slots=(1, 2), scorer=item_id_scorer)
+    pos = probe_position(None, instances[:6], PCFG, slots=(1, 2), cot=True, scorer=item_id_scorer)
     ppath = tmp_path / "pos.csv"
     write_position_probe_csv(ppath, pos, "ee" * 32, 2)
     meta, header, rows = read_table(ppath)
@@ -262,7 +262,7 @@ def test_probe_emitters_round_trip(tmp_path):
     assert total == 2 * 6  # two slots, six instances
 
     params = fresh_params()
-    hist = probe_history_shuffle(params, instances[:4], PCFG, cutoff=3, n_shuffles=3, seed=4)
+    hist = probe_history_shuffle(params, instances[:4], PCFG, cutoff=3, n_shuffles=3, seed=4, cot=True)
     hpath = tmp_path / "hist.csv"
     write_history_probe_csv(hpath, hist, "ee" * 32, 2)
     _, _, hrows = read_table(hpath)
@@ -280,8 +280,8 @@ def test_svg_charts_are_deterministic(tmp_path):
     xs = np.arange(10)
     ys = np.sin(xs / 3.0)
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    write_line_chart_svg(p1, xs, ys, "demo", "cd" * 32, 5)
-    write_line_chart_svg(p2, xs, ys, "demo", "cd" * 32, 5)
+    write_line_chart_svg(p1, xs, ys, "demo", "cd" * 32, 5, "value")
+    write_line_chart_svg(p2, xs, ys, "demo", "cd" * 32, 5, "value")
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text()
     assert "<polyline" in text
@@ -294,4 +294,4 @@ def test_svg_charts_are_deterministic(tmp_path):
     )
     assert "<rect" in g1.read_text()
     with pytest.raises(DataFormatError):
-        write_line_chart_svg(tmp_path / "x.svg", [], [], "t", "cd" * 32, 5)
+        write_line_chart_svg(tmp_path / "x.svg", [], [], "t", "cd" * 32, 5, "value")

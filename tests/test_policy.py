@@ -58,8 +58,6 @@ def test_vocab_layout():
     assert v.size == 8 + 8 * 4
     assert v.attr(0, 0) == 8
     assert v.attr(2, 3) == 8 + 2 * 4 + 3
-    assert v.attr_parts(v.attr(5, 1)) == (5, 1)
-    assert v.attr_parts(v.SEP) is None
     assert v.decision_token(1) == v.RECOMMEND
     assert v.decision_token(0) == v.NOT_RECOMMEND
     with pytest.raises(ContractViolation):

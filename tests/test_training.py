@@ -11,7 +11,7 @@ import pytest
 import plrank.autodiff as ad
 import plrank.training
 from plrank.autodiff import Tape
-from plrank.errors import ConfigError, TrainingDiverged
+from plrank.errors import ConfigError, ContractViolation, TrainingDiverged
 from plrank.policy import (
     PolicyConfig,
     clone_params,
@@ -57,6 +57,7 @@ from plrank.world import (
     build_instances,
     build_sft_corpus,
     generate_world,
+    train_positive_counts,
 )
 
 WCFG = WorldConfig(n_users=80, n_items=60, m=4, exposure_pool=24)
@@ -68,7 +69,7 @@ PCFG = PolicyConfig(
 
 def tiny_setup(seed: int = 3, split: str = "train", K: int = 4, L: int = 3):
     world = generate_world(WCFG, seed)
-    instances, _ = build_instances(world, split, K=K, L=L)
+    instances, _ = build_instances(world, split, K=K, L=L, train_counts=train_positive_counts(world))
     return world, instances
 
 
@@ -114,11 +115,8 @@ def test_flat_adam_matches_the_per_tensor_formula():
     params = fresh_params(3)
     policy_names = {n for n in params if not is_head_param(n)}
     head_names = {n for n in params if is_head_param(n)}
-    # SFT trains the policy only, joint RL every name, frozen RL the head
-    # only; the last schedule switches sets on one optimizer
-    schedules = ([policy_names] * 12, [set(params)] * 12, [head_names] * 12,
-                 [policy_names, set(params), head_names, set(params)] * 3)
-    for schedule in schedules:
+    # SFT trains the policy only, joint RL every name, frozen RL the head only
+    for schedule in ([policy_names] * 12, [set(params)] * 12, [head_names] * 12):
         flat, ref = clone_params(params), clone_params(params)
         opt = Adam(flat, 3e-3, 1e-2)
         m = {k: np.zeros_like(a) for k, a in ref.items()}
@@ -136,7 +134,13 @@ def test_flat_adam_matches_the_per_tensor_formula():
                 ref[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
             for name in params:
                 assert np.array_equal(flat[name], ref[name]), (t, name)
+            for name in schedule[0]:
                 assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name])
+    # one optimizer trains one set of names
+    opt = Adam(params, 3e-3, 1e-2)
+    opt.step(params, {name: np.zeros_like(params[name]) for name in policy_names})
+    with pytest.raises(ContractViolation, match="laid out"):
+        opt.step(params, {name: np.zeros_like(params[name]) for name in params})
 
 
 def test_metrics_writer_format(tmp_path):
@@ -159,7 +163,7 @@ def test_sft_initial_loss_is_log_vocab():
     vocab = PCFG.vocab()
     examples, _ = build_sft_corpus(
         instances, 0.0, seed=1, vocab=vocab,
-        serialize_fn=lambda c, i: serialize_context(c, i, vocab),
+        serialize_fn=lambda c, i: serialize_context(c, i, vocab), selfcheck_k=2,
     )
     params = fresh_params()
     loss, grads = sft_batch_loss(params, examples[:16], PCFG)
@@ -284,7 +288,7 @@ def test_sft_training_reduces_loss():
     vocab = PCFG.vocab()
     examples, _ = build_sft_corpus(
         instances, 0.0, seed=1, vocab=vocab,
-        serialize_fn=lambda c, i: serialize_context(c, i, vocab),
+        serialize_fn=lambda c, i: serialize_context(c, i, vocab), selfcheck_k=2,
     )
     params = fresh_params()
     tcfg = SftConfig(steps=250, batch_size=8, lr_policy=1e-3)

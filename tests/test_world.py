@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -37,6 +38,11 @@ SMALL = WorldConfig(n_users=300, n_items=200, exposure_pool=64)
 
 def small_world(seed: int = 7, **overrides):
     return generate_world(dataclasses.replace(SMALL, **overrides), seed)
+
+
+def instances_of(world, split, K, L):
+    """The split's instances, with the train counts taken from `world` itself."""
+    return build_instances(world, split, K, L, train_positive_counts(world))
 
 
 def test_bucketize_boundaries():
@@ -96,7 +102,7 @@ def test_user_events_shape_and_order():
 def test_instance_protocol():
     world = small_world()
     K, L = 8, 5
-    instances, stats = build_instances(world, "test", K=K, L=L)
+    instances, stats = instances_of(world, "test", K, L)
     assert len(instances) > 0
     assert stats.skipped_no_positive == 0 and stats.skipped_few_negatives == 0
     for inst in instances:
@@ -124,8 +130,8 @@ def test_instance_protocol():
 
 def test_instances_deterministic_and_presentation_shuffled():
     world = small_world()
-    a, _ = build_instances(world, "valid", K=8, L=5)
-    b, _ = build_instances(world, "valid", K=8, L=5)
+    a, _ = instances_of(world, "valid", 8, 5)
+    b, _ = instances_of(world, "valid", 8, 5)
     assert a == b
     # at least one instance must not have its positive in slot 0
     assert any(inst.positive_index() != 0 for inst in a)
@@ -133,7 +139,7 @@ def test_instances_deterministic_and_presentation_shuffled():
 
 def test_history_cap_binds():
     world = small_world()
-    instances, _ = build_instances(world, "train", K=8, L=2)
+    instances, _ = instances_of(world, "train", 8, 2)
     lengths = [len(inst.ctx.history) for inst in instances]
     assert max(lengths) == 2
     assert min(lengths) >= 0
@@ -141,7 +147,7 @@ def test_history_cap_binds():
 
 def test_starved_config_skips():
     world = small_world(exposure_pool=16)
-    instances, stats = build_instances(world, "test", K=16)
+    instances, stats = instances_of(world, "test", 16, 20)
     assert instances == []
     assert stats.skipped_few_negatives > 0
 
@@ -149,16 +155,16 @@ def test_starved_config_skips():
 def test_build_rejects_bad_arguments():
     world = small_world()
     with pytest.raises(ConfigError):
-        build_instances(world, "evaluation")
+        instances_of(world, "evaluation", 8, 5)
     with pytest.raises(ConfigError):
-        build_instances(world, "test", K=1)
+        instances_of(world, "test", 1, 5)
     with pytest.raises(ConfigError):
-        build_instances(world, "test", K=8, L=-1)
+        instances_of(world, "test", 8, -1)
 
 
 def test_positive_affinity_dominates_negatives():
     world = small_world()
-    instances, _ = build_instances(world, "test", K=8)
+    instances, _ = instances_of(world, "test", 8, 20)
     for inst in instances:
         uidx = int(inst.ctx.user_id[1:])
         idx = np.array([int(c.item_id[1:]) for c in inst.candidates])
@@ -170,7 +176,7 @@ def test_positive_affinity_dominates_negatives():
 
 def test_teacher_all_shared_and_empty_selfcheck():
     vocab = Vocab(m=3, buckets=4)
-    (target,) = teacher_targets(np.array([[0, 3, 2]]), np.array([[0, 3, 2]]), np.array([1]), vocab)
+    (target,) = teacher_targets(np.array([[0, 3, 2]]), np.array([[0, 3, 2]]), np.array([1]), vocab, selfcheck_k=2)
     expected = [
         vocab.SEC_REASON,
         vocab.attr(0, 0),
@@ -187,7 +193,7 @@ def test_teacher_all_shared_and_empty_selfcheck():
 
 def test_teacher_selfcheck_orders_by_disagreement():
     vocab = Vocab(m=3, buckets=4)
-    (target,) = teacher_targets(np.array([[0, 3, 1]]), np.array([[0, 0, 0]]), np.array([0]), vocab)
+    (target,) = teacher_targets(np.array([[0, 3, 1]]), np.array([[0, 0, 0]]), np.array([0]), vocab, selfcheck_k=2)
     expected = [
         vocab.SEC_REASON,
         vocab.attr(0, 0),        # dim 0 shared
@@ -220,9 +226,10 @@ def test_teacher_empty_history_selfcheck_uses_dim_order():
 def test_sft_corpus_filters_noisy_teachers():
     world = small_world()
     vocab = Vocab(m=world.cfg.m, buckets=world.cfg.buckets)
-    instances, _ = build_instances(world, "valid", K=8, L=5)
+    instances, _ = instances_of(world, "valid", 8, 5)
     noise = 0.25
-    kept, stats = build_sft_corpus(instances, noise, seed=5, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab))
+    serialize = lambda c, i: serialize_context(c, i, vocab)  # noqa: E731
+    kept, stats = build_sft_corpus(instances, noise, seed=5, vocab=vocab, serialize_fn=serialize, selfcheck_k=2)
     total = len(kept) + stats.rejected
     assert total == len(instances) * 8
     se = np.sqrt(noise * (1 - noise) / total)
@@ -235,7 +242,7 @@ def test_sft_corpus_filters_noisy_teachers():
         assert ex.target[-2] == decision
         assert ex.prefix[-1] == vocab.BOS
     # zero noise keeps every pair
-    kept0, stats0 = build_sft_corpus(instances, 0.0, seed=5, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab))
+    kept0, stats0 = build_sft_corpus(instances, 0.0, seed=5, vocab=vocab, serialize_fn=serialize, selfcheck_k=2)
     assert stats0.rejected == 0
     assert len(kept0) == total
 
@@ -273,8 +280,8 @@ def _per_pair_corpus(instances, noise_rate, seed, vocab, selfcheck_k):
 def test_sft_corpus_matches_per_pair_reference(noise, selfcheck_k):
     world = small_world()
     vocab = Vocab(m=world.cfg.m, buckets=world.cfg.buckets)
-    instances, _ = build_instances(world, "valid", K=8, L=5)
-    no_history, _ = build_instances(world, "test", K=8, L=0)
+    instances, _ = instances_of(world, "valid", 8, 5)
+    no_history, _ = instances_of(world, "test", 8, 0)
     instances += no_history[:5]
     kept, stats = build_sft_corpus(
         instances, noise, seed=5, vocab=vocab,
@@ -331,9 +338,6 @@ def test_instances_are_the_same_with_the_counts_events_kept(tmp_path):
         train_positive_counts(between)
         saved(between, next(s for s in SPLITS if s != split), "other.jsonl")
         assert saved(between, split, "between.jsonl") == reference
-        instances, _ = build_instances(small_world(), split, K=8, L=5)  # counts made inside
-        save_instances_jsonl(tmp_path / "inside.jsonl", instances, meta={"split": split})
-        assert (tmp_path / "inside.jsonl").read_bytes() == reference
 
 
 def test_each_train_users_events_are_derived_once(monkeypatch):
@@ -372,7 +376,7 @@ def test_kept_events_are_read_only():
 
 def test_cold_start_items_exist_in_test_split():
     world = small_world()
-    instances, _ = build_instances(world, "test", K=8)
+    instances, _ = instances_of(world, "test", 8, 20)
     freqs = [c.train_frequency for inst in instances for c in inst.candidates]
     assert any(f == 0 for f in freqs)
     assert any(f > 0 for f in freqs)
@@ -380,10 +384,10 @@ def test_cold_start_items_exist_in_test_split():
 
 def test_instances_jsonl_round_trip(tmp_path):
     world = small_world()
-    instances, _ = build_instances(world, "valid", K=8, L=5)
+    instances, _ = instances_of(world, "valid", 8, 5)
     path = tmp_path / "instances.jsonl"
     save_instances_jsonl(path, instances, meta={"seed": world.seed})
-    loaded, header = load_instances_jsonl(path)
+    loaded, header = load_instances_jsonl(path, Vocab(m=world.cfg.m, buckets=world.cfg.buckets), max_history=5)
     assert header["count"] == len(instances)
     assert header["seed"] == world.seed
     assert loaded == instances
@@ -400,6 +404,7 @@ def test_instances_jsonl_validation_errors(tmp_path):
         ],
         "relevance": [1, 0],
     }
+    load = functools.partial(load_instances_jsonl, vocab=Vocab(m=2, buckets=2), max_history=3)
 
     def write(lines):
         path = tmp_path / "bad.jsonl"
@@ -407,55 +412,55 @@ def test_instances_jsonl_validation_errors(tmp_path):
         return path
 
     ok = write([header, json.dumps(record)])
-    loaded, _ = load_instances_jsonl(ok)
+    loaded, _ = load(ok)
     assert len(loaded) == 1
 
     with pytest.raises(DataFormatError, match="line 1"):
-        load_instances_jsonl(write(["{not json"]))
+        load(write(["{not json"]))
     with pytest.raises(DataFormatError, match="schema"):
-        load_instances_jsonl(write([json.dumps({"schema": 99}), json.dumps(record)]))
+        load(write([json.dumps({"schema": 99}), json.dumps(record)]))
 
     dup = write([header, json.dumps(record), json.dumps(record)])
     with pytest.raises(DataFormatError, match="line 3.*duplicate"):
-        load_instances_jsonl(dup)
+        load(dup)
 
     missing = dict(record)
     del missing["relevance"]
     with pytest.raises(DataFormatError, match="line 2.*relevance"):
-        load_instances_jsonl(write([header, json.dumps(missing)]))
+        load(write([header, json.dumps(missing)]))
 
     short = json.loads(json.dumps(record))
     short["candidates"][1]["tokens"] = [1]
     with pytest.raises(DataFormatError, match="line 2.*tokens length"):
-        load_instances_jsonl(write([header, json.dumps(short)]))
+        load(write([header, json.dumps(short)]))
 
     unbalanced = json.loads(json.dumps(record))
     unbalanced["relevance"] = [1]
     with pytest.raises(DataFormatError, match="line 2.*relevance length"):
-        load_instances_jsonl(write([header, json.dumps(unbalanced)]))
+        load(write([header, json.dumps(unbalanced)]))
 
     with pytest.raises(DataFormatError, match="line 2: object of type 'int' has no len"):
-        load_instances_jsonl(write([header, json.dumps(dict(record, candidates=3))]))
+        load(write([header, json.dumps(dict(record, candidates=3))]))
 
     lettered = json.loads(json.dumps(record))
     lettered["candidates"][0]["tokens"] = [0, "a"]
     with pytest.raises(DataFormatError, match="bad.jsonl: line 2: invalid literal"):
-        load_instances_jsonl(write([header, json.dumps(lettered)]))
+        load(write([header, json.dumps(lettered)]))
 
     numbered = json.loads(json.dumps(record))
     numbered["candidates"][1]["item_id"] = 7
     with pytest.raises(DataFormatError, match="bad.jsonl: line 2: candidate item_id 7 is not a string"):
-        load_instances_jsonl(write([header, json.dumps(numbered)]))
+        load(write([header, json.dumps(numbered)]))
     for grades, bad in (([-1, 1], -1), ([1, 2], 2)):
         with pytest.raises(DataFormatError, match=f"bad.jsonl: line 2: relevance grade {bad} is not 0 or 1"):
-            load_instances_jsonl(write([header, json.dumps(dict(record, relevance=grades))]))
+            load(write([header, json.dumps(dict(record, relevance=grades))]))
 
     long = json.loads(json.dumps(record))
     long["user"]["history"] = [{"item_id": f"h{t}", "tokens": [0, 1], "t": t} for t in range(4)]
-    assert len(load_instances_jsonl(write([header, json.dumps(long)]), max_history=4)[0]) == 1
+    assert len(load(write([header, json.dumps(long)]), max_history=4)[0]) == 1
     with pytest.raises(DataFormatError, match="bad.jsonl: line 2: history length 4 exceeds L=3"):
-        load_instances_jsonl(write([header, json.dumps(long)]), max_history=3)
-    check_common_faults(load_instances_jsonl, write, header, record, other_kind="sft")
+        load(write([header, json.dumps(long)]))
+    check_common_faults(load, write, header, record, other_kind="sft")
 
 
 def check_common_faults(load, write, header, record, other_kind):
@@ -481,41 +486,43 @@ def test_sft_jsonl_validation_errors(tmp_path):
         "instance_id": "u1", "item_id": "i0", "prefix": [5, 6], "target": [7, 1],
         "ground_truth": 1, "teacher_decision": 1,
     }
+    load = functools.partial(load_sft_jsonl, vocab=Vocab(m=2, buckets=2), max_len=4)
 
     def write(lines):
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
-    loaded, _ = load_sft_jsonl(write([header, json.dumps(record)]))
+    loaded, _ = load(write([header, json.dumps(record)]))
     assert loaded[0].prefix.tolist() == [5, 6]
     with pytest.raises(DataFormatError, match="bad.jsonl: line 2: invalid literal"):
-        load_sft_jsonl(write([header, json.dumps(dict(record, prefix=[5, "a"]))]))
+        load(write([header, json.dumps(dict(record, prefix=[5, "a"]))]))
     with pytest.raises(DataFormatError, match="line 2: missing field 'target'"):
-        load_sft_jsonl(write([header, json.dumps({k: v for k, v in record.items() if k != "target"})]))
+        load(write([header, json.dumps({k: v for k, v in record.items() if k != "target"})]))
     with pytest.raises(DataFormatError, match="line 2: prefix and target must be lists"):
-        load_sft_jsonl(write([header, json.dumps(dict(record, target=7))]))
+        load(write([header, json.dumps(dict(record, target=7))]))
     for key in ("prefix", "target"):
         with pytest.raises(DataFormatError, match="bad.jsonl: line 2: prefix and target must not be empty"):
-            load_sft_jsonl(write([header, json.dumps(dict(record, **{key: []}))]))
+            load(write([header, json.dumps(dict(record, **{key: []}))]))
     with pytest.raises(DataFormatError, match="line 2: ground_truth 2 and teacher_decision 1 must be 0 or 1"):
-        load_sft_jsonl(write([header, json.dumps(dict(record, ground_truth=2))]))
-    assert len(load_sft_jsonl(write([header, json.dumps(record)]), max_len=4)[0]) == 1
+        load(write([header, json.dumps(dict(record, ground_truth=2))]))
+    assert len(load(write([header, json.dumps(record)]))[0]) == 1
     with pytest.raises(DataFormatError, match="bad.jsonl: line 2: row length 2 \\+ 2 exceeds max_len 3"):
-        load_sft_jsonl(write([header, json.dumps(record)]), max_len=3)
-    check_common_faults(load_sft_jsonl, write, header, record, other_kind="instances")
+        load(write([header, json.dumps(record)]), max_len=3)
+    check_common_faults(load, write, header, record, other_kind="instances")
 
 
 def test_data_files_round_trip_byte_for_byte(tmp_path):
     world = small_world()
     vocab = Vocab(m=world.cfg.m, buckets=world.cfg.buckets)
-    instances, _ = build_instances(world, "valid", K=4, L=3)
+    instances, _ = instances_of(world, "valid", 4, 3)
     kept, _ = build_sft_corpus(
-        instances, 0.1, seed=1, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab)
+        instances, 0.1, seed=1, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab),
+        selfcheck_k=2,
     )
     for save, load, records in (
-        (save_instances_jsonl, load_instances_jsonl, instances),
-        (save_sft_jsonl, load_sft_jsonl, kept),
+        (save_instances_jsonl, functools.partial(load_instances_jsonl, vocab=vocab, max_history=3), instances),
+        (save_sft_jsonl, functools.partial(load_sft_jsonl, vocab=vocab, max_len=256), kept),
     ):
         first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
         save(first, records, meta={"seed": world.seed})
@@ -527,11 +534,14 @@ def test_data_files_round_trip_byte_for_byte(tmp_path):
 def test_sft_jsonl_round_trip(tmp_path):
     world = small_world()
     vocab = Vocab(m=world.cfg.m, buckets=world.cfg.buckets)
-    instances, _ = build_instances(world, "valid", K=4, L=3)
-    kept, _ = build_sft_corpus(instances[:10], 0.0, seed=1, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab))
+    instances, _ = instances_of(world, "valid", 4, 3)
+    kept, _ = build_sft_corpus(
+        instances[:10], 0.0, seed=1, vocab=vocab, serialize_fn=lambda c, i: serialize_context(c, i, vocab),
+        selfcheck_k=2,
+    )
     path = tmp_path / "sft.jsonl"
     save_sft_jsonl(path, kept, meta={"noise_rate": 0.0})
-    loaded, header = load_sft_jsonl(path)
+    loaded, header = load_sft_jsonl(path, vocab, max_len=256)
     assert header["noise_rate"] == 0.0
     assert len(loaded) == len(kept)
     for a, b in zip(kept, loaded):

@@ -18,8 +18,9 @@ part, so two checkouts can be compared line by line:
 
 The metrics files are hashed without their last column, the wall clock. Every
 file embeds the config hash, so two checkouts compare only if their configs
-have the same fields. Each instance file and the teacher corpus is loaded and
-saved again, and the script exits nonzero if that changes a byte. Each split
+have the same fields. Each instance file and the teacher corpus is loaded,
+checked against the config's vocabulary and limits, and saved again, and the
+script exits nonzero if that changes a byte. Each split
 is also built again in this process on a fresh world, with the train counts
 taken from a second one, so no user's events carry over from the counts to a
 split; the script exits nonzero if that changes a byte of what `gen-data`
@@ -106,9 +107,8 @@ def check_round_trip(out: Path, load, save, *names: str) -> None:
             raise SystemExit(f"{name}: loading and saving it again changed its bytes")
 
 
-def check_rebuild(out: Path, config: Path) -> None:
+def check_rebuild(out: Path, cfg) -> None:
     """Build every split again with no events kept from the counts; no byte may change."""
-    cfg = load_run_config(config)
     counts = train_positive_counts(generate_world(cfg.world, cfg.seed))
     again = out / "rebuilt"
     again.mkdir(exist_ok=True)
@@ -116,9 +116,18 @@ def check_rebuild(out: Path, config: Path) -> None:
         name = f"instances_{split}.jsonl"
         world = generate_world(cfg.world, cfg.seed)
         instances, _ = build_instances(world, split, K=cfg.data.K, L=cfg.data.L, train_counts=counts)
-        save_instances_jsonl(again / name, instances, meta=load_instances_jsonl(out / name)[1])
+        save_instances_jsonl(again / name, instances, meta=load_instances(out / name, cfg)[1])
         if (again / name).read_bytes() != (out / name).read_bytes():
             raise SystemExit(f"{name}: building it without the counts' events changed its bytes")
+
+
+def load_instances(path: Path, cfg):
+    return load_instances_jsonl(path, policy_config(cfg).vocab(), cfg.data.L)
+
+
+def load_sft(path: Path, cfg):
+    pcfg = policy_config(cfg)
+    return load_sft_jsonl(path, pcfg.vocab(), pcfg.max_len)
 
 
 def hash_metrics(h, path: Path) -> None:
@@ -127,12 +136,11 @@ def hash_metrics(h, path: Path) -> None:
     h.update(repr((meta, header[:-1], [row[:-1] for row in rows])).encode())
 
 
-def hash_decode(out: Path, config: Path):
-    cfg = load_run_config(config)
+def hash_decode(out: Path, cfg):
     pcfg = policy_config(cfg)
     vocab = pcfg.vocab()
     params, _, _ = load_checkpoint(out / "sft_model.bin")
-    instances, _ = load_instances_jsonl(out / "instances_test.jsonl")
+    instances, _ = load_instances(out / "instances_test.jsonl", cfg)
     h = hashlib.sha256()
     for inst in instances[:SLATES]:
         for cot in (True, False):
@@ -161,18 +169,19 @@ def main() -> int:
         config = out / "config.json"
         config.write_text(json.dumps({"sft": {"steps": SFT_STEPS}, "rl": {"steps": RL_STEPS}}))
         common = ("--config", str(config), "--out", str(out))
+        cfg = load_run_config(config)
         run("gen-data", *common)
         instance_files = [f"instances_{split}.jsonl" for split in SPLITS]
         parts["instances"] = hash_files(*(out / name for name in instance_files))
-        check_round_trip(out, load_instances_jsonl, save_instances_jsonl, *instance_files)
-        check_rebuild(out, config)
+        check_round_trip(out, lambda path: load_instances(path, cfg), save_instances_jsonl, *instance_files)
+        check_rebuild(out, cfg)
         run("build-sft", *common)
         parts["sft_corpus"] = hash_files(out / "sft.jsonl")
-        check_round_trip(out, load_sft_jsonl, save_sft_jsonl, "sft.jsonl")
+        check_round_trip(out, lambda path: load_sft(path, cfg), save_sft_jsonl, "sft.jsonl")
         run("train", "--stage", "sft", *common)
         parts["sft"] = hash_files(out / "sft_model.bin")
         hash_metrics(parts["sft"], out / "metrics_sft.csv")
-        parts["decode"] = hash_decode(out, config)
+        parts["decode"] = hash_decode(out, cfg)
         run("train", "--stage", "rl", *common)
         parts["rl"] = hash_files(out / "rl_model.bin")
         hash_metrics(parts["rl"], out / "metrics_rl.csv")
