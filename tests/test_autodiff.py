@@ -73,6 +73,17 @@ def test_elementwise_shape_mismatch_rejected():
                 op(a, scalar)
 
 
+def test_scalar_operand_allowed():
+    # A scalar operand goes through an explicit broadcast_to, whose backward sums it back down.
+    tape = Tape()
+    a = tape.leaf(np.ones((2, 3)), requires_grad=True)
+    c = tape.leaf(np.full(1, 2.0), requires_grad=True)
+    out = ad.asum(ad.mul(a, ad.broadcast_to(c, a.data.shape)))
+    grads = tape.backward(out)
+    assert np.array_equal(grads[a.node_id], np.full((2, 3), 2.0))
+    assert np.array_equal(grads[c.node_id], np.full(1, 6.0))
+
+
 def test_backward_requires_scalar_loss():
     tape = Tape()
     x = tape.leaf(np.ones(3), requires_grad=True)
