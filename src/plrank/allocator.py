@@ -1,7 +1,8 @@
 """Fixed glibc malloc thresholds, so each step reuses the last step's memory.
 
 A training step allocates tens of megabytes of numpy arrays, and the tape
-frees them all by reference counting when the step returns. glibc's default
+frees them by reference counting while its backward runs, each activation as
+soon as the last op that reads it has passed its gradient on. glibc's default
 malloc adapts its mmap threshold to the largest block freed so far and hands
 the top of the heap back to the kernel once more than twice that threshold is
 free there. Each step's arrays were then faulted in afresh by the next step.

@@ -59,11 +59,18 @@ class Tensor:
 
 
 class Tape:
-    """Append-only op record; rebuilt for every forward pass."""
+    """Append-only op record; rebuilt for every forward pass.
+
+    A tape runs one backward, which frees the graph as it goes: once a node's
+    closure has run, the closure and the node's gradient are dropped, so each
+    activation goes as soon as its last reader is done. A second backward on
+    the same tape raises ContractViolation.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self._param_data: dict[int, Array] = {}
+        self._spent = False
 
     def _record(self, data: Array, parents: tuple[int, ...], backward_fn, requires: bool) -> Tensor:
         node_id = len(self.nodes)
@@ -86,6 +93,9 @@ class Tape:
             raise ContractViolation("loss belongs to a different tape")
         if loss.data.size != 1:
             raise ContractViolation(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if self._spent:
+            raise ContractViolation("this tape has run its backward; record a new tape")
+        self._spent = True
         grads: list[Array | None] = [None] * len(self.nodes)
         grads[loss.node_id] = np.ones_like(loss.data)
         for node_id in range(loss.node_id, -1, -1):
@@ -95,18 +105,22 @@ class Tape:
             node = self.nodes[node_id]
             if node.backward_fn is None or not node.requires:
                 continue
+            grads[node_id] = None
             contributions = node.backward_fn(g)
+            node.backward_fn = None
             for parent_id, contrib in zip(node.parents, contributions):
                 if contrib is None or not self.nodes[parent_id].requires:
                     continue
                 if grads[parent_id] is None:
                     grads[parent_id] = contrib
                 else:
+                    # out of place: `add` hands the same array to both parents
                     grads[parent_id] = grads[parent_id] + contrib
+            del contributions, contrib  # before the next closure runs, not after
         out: dict[int, Array] = {}
         for pid, data in self._param_data.items():
             g = grads[pid]
-            out[pid] = np.zeros_like(data) if g is None else np.ascontiguousarray(g)
+            out[pid] = np.zeros_like(data) if g is None else np.ascontiguousarray(g).reshape(data.shape)
         return out
 
 

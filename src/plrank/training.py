@@ -446,6 +446,38 @@ class RlStepStats:
 METRICS_COLUMNS = ("step", "stage", *(f.name for f in fields(RlStepStats)[1:]))
 
 
+def _inner_epoch(
+    params: dict[str, np.ndarray],
+    records: list[RolloutRecord],
+    pcfg: PolicyConfig,
+    tcfg: TrainConfig,
+    where: str,
+) -> tuple[dict[str, np.ndarray], float, float, list[np.ndarray]]:
+    """One clipped inner epoch over the step's records: the gradients of the
+    loss, the mean token and ranking objectives, and each joint record's
+    per-token ratios. Only arrays and floats leave, so the epoch's tape is
+    freed when this returns, before the next epoch's forward."""
+    n = len(records)
+    tape = Tape()
+    pt = lift_params(tape, params, train_policy=tcfg.joint, train_head=True)
+    total: Tensor | None = None
+    ppo_val = 0.0
+    head_val = 0.0
+    ratios = []
+    for record in records:
+        ppo_obj, head_obj, ratio = instance_objectives(pt, record, tcfg, pcfg)
+        if ratio is not None:
+            ratios.append(ratio)
+        contrib = head_obj if ppo_obj is None else ad.add(ppo_obj, head_obj)
+        ppo_val += float(ppo_obj.data) / n if ppo_obj is not None else 0.0
+        head_val += float(head_obj.data) / n
+        total = contrib if total is None else ad.add(total, contrib)
+    loss = ad.scale(total, -1.0 / n)
+    grads = named_grads(pt, tape.backward(loss))
+    _check_finite(float(loss.data), grads, where)
+    return grads, ppo_val, head_val, ratios
+
+
 def rl_step(
     params: dict[str, np.ndarray],
     opt: Adam,
@@ -458,29 +490,13 @@ def rl_step(
 ) -> tuple[RlStepStats, list[RolloutRecord]]:
     """One outer step: roll out a batch, then run the clipped inner epochs."""
     records = [rollout(params, inst, pcfg, tcfg, vocab, streams, step) for inst in instances]
-    n = len(records)
     first_ppo = 0.0
     first_head = 0.0
     first_theta = 0.0
     first_phi = 0.0
     for epoch in range(tcfg.inner_epochs):
-        tape = Tape()
-        pt = lift_params(tape, params, train_policy=tcfg.joint, train_head=True)
-        total: Tensor | None = None
-        ppo_val = 0.0
-        head_val = 0.0
-        ratios = []
-        for record in records:
-            ppo_obj, head_obj, ratio = instance_objectives(pt, record, tcfg, pcfg)
-            if ratio is not None:
-                ratios.append(ratio)
-            contrib = head_obj if ppo_obj is None else ad.add(ppo_obj, head_obj)
-            ppo_val += float(ppo_obj.data) / n if ppo_obj is not None else 0.0
-            head_val += float(head_obj.data) / n
-            total = contrib if total is None else ad.add(total, contrib)
-        loss = ad.scale(total, -1.0 / n)
-        grads = named_grads(pt, tape.backward(loss))
-        _check_finite(float(loss.data), grads, f"rl step {step} epoch {epoch}")
+        where = f"rl step {step} epoch {epoch}"
+        grads, ppo_val, head_val, ratios = _inner_epoch(params, records, pcfg, tcfg, where)
         if epoch == 0:
             first_ppo = ppo_val
             first_head = head_val

@@ -256,11 +256,14 @@ def build_instances(
     streams = KeyedStreams(world.seed)
     stats = BuildStats()
     instances: list[RankingInstance] = []
-    # Token tuples, ids and counts are built once here; every event and
-    # candidate of the same item shares them.
+    # Token tuples and ids are built once here, and every event of the same
+    # item shares them; every slate shares the item's one candidate.
     item_ids = [world.item_id(i) for i in range(cfg.n_items)]
     item_tokens = [tuple(row) for row in world.item_buckets.tolist()]
-    item_counts = train_counts.tolist()
+    item_candidates = [
+        CandidateItem(item_id=item_ids[i], tokens=item_tokens[i], train_frequency=count)
+        for i, count in enumerate(train_counts.tolist())
+    ]
     profiles = bucketize(world.user_latents, cfg.buckets).tolist()
     for uidx in range(cfg.n_users):
         if split_of_user(world.seed, uidx) != split:
@@ -301,19 +304,11 @@ def build_instances(
             profile_tokens=tuple(profiles[uidx]),
             history=history,
         )
-        candidates = tuple(
-            CandidateItem(
-                item_id=item_ids[i],
-                tokens=item_tokens[i],
-                train_frequency=item_counts[i],
-            )
-            for i in slate.tolist()
-        )
         instances.append(
             RankingInstance(
                 instance_id=f"u{uidx}",
                 ctx=ctx,
-                candidates=candidates,
+                candidates=tuple(item_candidates[i] for i in slate.tolist()),
                 relevance=tuple(grades.tolist()),
             )
         )

@@ -84,6 +84,39 @@ def test_scalar_operand_allowed():
     assert np.array_equal(grads[c.node_id], np.full(1, 6.0))
 
 
+def test_zero_d_leaf_gets_a_zero_d_gradient():
+    tape = Tape()
+    a = tape.leaf(np.ones((2, 3)), requires_grad=True)
+    c = tape.leaf(np.array(2.0), requires_grad=True)
+    grads = tape.backward(ad.asum(ad.mul(a, ad.broadcast_to(c, a.data.shape))))
+    assert grads[c.node_id].shape == ()
+    assert grads[c.node_id] == 6.0
+
+
+def test_backward_frees_each_closure_once_it_has_run():
+    tape = Tape()
+    x = tape.leaf(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    w = tape.constant(np.array([3.0, 1.0, -2.0]))
+    held = weakref.ref(w.data)  # from here on only mul's closure holds w's array
+    loss = ad.asum(ad.tanh(ad.mul(x, w)))
+    del w
+    assert held() is not None
+    grads = tape.backward(loss)
+    assert held() is None
+    assert tape.nodes and all(node.backward_fn is None for node in tape.nodes)
+    want = np.array([3.0, 1.0, -2.0]) * (1.0 - np.tanh(np.array([1.5, -1.0, -4.0])) ** 2)
+    assert np.array_equal(grads[x.node_id], want)
+
+
+def test_tape_runs_one_backward():
+    tape = Tape()
+    x = tape.leaf(np.ones(3), requires_grad=True)
+    loss = ad.asum(ad.mul(x, x))
+    tape.backward(loss)
+    with pytest.raises(ContractViolation):
+        tape.backward(loss)
+
+
 def test_backward_requires_scalar_loss():
     tape = Tape()
     x = tape.leaf(np.ones(3), requires_grad=True)

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -562,6 +564,31 @@ def test_rl_health_stats_follow_the_ratio():
     assert moved.clip_frac > 0.0 and moved.approx_kl > 0.0 and moved.ratio_max > 1.0
     frozen, _ = step(inner_epochs=3, joint=False)
     assert (frozen.clip_frac, frozen.approx_kl, frozen.ratio_max) == (0.0, 0.0, 1.0)
+
+
+def test_each_inner_epoch_graph_is_freed_before_the_next_forward(monkeypatch):
+    world, instances = tiny_setup()
+    params = fresh_params()
+    tcfg = TrainConfig(rankings_per_instance=2, joint=True, inner_epochs=2)
+    tapes = []  # a weakref to each epoch's tape
+    alive_at_call = []  # how many earlier epochs' tapes are alive as a forward starts
+
+    def spy(pt, *args, **kwargs):
+        tape = pt["emb"].tape
+        alive_at_call.append(sum(ref() is not None and ref() is not tape for ref in tapes))
+        if not any(ref() is tape for ref in tapes):
+            tapes.append(weakref.ref(tape))
+        return forward_hidden_tape(pt, *args, **kwargs)
+
+    monkeypatch.setattr(plrank.training, "forward_hidden_tape", spy)
+    opt = Adam(params, 1e-3, 1e-3)
+    gc.disable()  # what frees a tape must be reference counting
+    try:
+        rl_step(params, opt, instances[:2], PCFG, tcfg, PCFG.vocab(), KeyedStreams(9), step=0)
+    finally:
+        gc.enable()
+    assert len(tapes) == 2 and len(alive_at_call) == 4
+    assert alive_at_call == [0, 0, 0, 0]
 
 
 def _with_history(inst: RankingInstance, n_events: int) -> RankingInstance:

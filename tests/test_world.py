@@ -145,6 +145,16 @@ def test_history_cap_binds():
     assert min(lengths) >= 0
 
 
+def test_slates_share_one_candidate_per_item():
+    world = small_world()
+    instances, _ = instances_of(world, "train", 8, 5)
+    first: dict = {}
+    for inst in instances:
+        for cand in inst.candidates:
+            assert first.setdefault(cand.item_id, cand) is cand
+    assert len(first) < sum(len(inst.candidates) for inst in instances)  # items recur across slates
+
+
 def test_starved_config_skips():
     world = small_world(exposure_pool=16)
     instances, stats = instances_of(world, "test", 16, 20)
